@@ -1,5 +1,7 @@
 package repro.jobs
 
+import scala.collection.immutable.ListMap
+
 import org.apache.spark.sql.SparkSession
 
 import repro.exp._
@@ -15,99 +17,34 @@ private[jobs] object JobSession {
       .getOrCreate()
 }
 
-/** Table II: corpus statistics. `spark-submit --class repro.jobs.TableIIJob`. */
-object TableIIJob {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("table2")
-    println(TableIIExp.render(TableIIExp.run(spark)))
-    spark.stop()
-  }
-}
+/** One entrypoint for every reproduced table and figure:
+  * `spark-submit --class repro.jobs.Run <jar> <name>` (or
+  * `sbt "runMain repro.jobs.Run <name>"`). It prints the rendered table.
+  * With no name or an unknown one it lists the valid names and exits 2.
+  */
+object Run {
 
-/** Figure 5: false positives vs (B, L) on Cranfield-like. */
-object Fig5Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig5")
-    println(Fig5Exp.render(Fig5Exp.run(spark)))
-    spark.stop()
-  }
-}
+  /** Experiment name → run it on a session and render its table. */
+  val experiments: ListMap[String, SparkSession => String] = ListMap(
+    "table2" -> (s => TableIIExp.render(TableIIExp.run(s))),    // corpus statistics
+    "fig5"   -> (s => Fig5Exp.render(Fig5Exp.run(s))),          // FP vs (B, L), Cranfield-like
+    "fig6"   -> (s => Fig6Exp.render(Fig6Exp.run(s))),          // within-region latencies
+    "fig7"   -> (s => Fig7Exp.render(Fig7Exp.run(s))),          // cross-region, Windows-like
+    "fig8"   -> (s => Fig8Exp.render(Fig8Exp.run(s))),          // wait/download breakdown
+    "fig9"   -> (_ => Fig9Exp.render(Fig9Exp.run())),           // cost model (closed form)
+    "fig10"  -> { s => val (rows, lStars) = Fig10Exp.run(s); Fig10Exp.render(rows, lStars) },
+    "fig14"  -> (s => Fig14Exp.render(Fig14Exp.run(s))),        // term-index lookup latency
+    "fig15"  -> (s => Fig15Exp.render(Fig15Exp.run(s))),        // scalability with corpus size
+    "fig16"  -> (s => Fig16Exp.render(Fig16Exp.run(s))),        // tiny IoU structures
+    "fig17"  -> (s => Fig17Exp.render(Fig17Exp.run(s))),        // accuracy budget sweep
+  )
 
-/** Figure 6: within-region end-to-end latencies, all engines × corpora. */
-object Fig6Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig6")
-    println(Fig6Exp.render(Fig6Exp.run(spark)))
-    spark.stop()
-  }
-}
-
-/** Figure 7: cross-region latencies on the Windows-like corpus. */
-object Fig7Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig7")
-    println(Fig7Exp.render(Fig7Exp.run(spark)))
-    spark.stop()
-  }
-}
-
-/** Figure 8: wait/download latency breakdown on the Spark-like corpus. */
-object Fig8Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig8")
-    println(Fig8Exp.render(Fig8Exp.run(spark)))
-    spark.stop()
-  }
-}
-
-/** Figure 9: cost model curves (closed-form; no cluster work). */
-object Fig9Job {
-  def main(args: Array[String]): Unit =
-    println(Fig9Exp.render(Fig9Exp.run()))
-}
-
-/** Figure 10: (B, L) structure sweep on the HDFS-like corpus. */
-object Fig10Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig10")
-    val (rows, lStars) = Fig10Exp.run(spark)
-    println(Fig10Exp.render(rows, lStars))
-    spark.stop()
-  }
-}
-
-/** Appendix Figure 14: term-index lookup latencies. */
-object Fig14Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig14")
-    println(Fig14Exp.render(Fig14Exp.run(spark)))
-    spark.stop()
-  }
-}
-
-/** Appendix Figure 15: scalability with corpus size. */
-object Fig15Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig15")
-    println(Fig15Exp.render(Fig15Exp.run(spark)))
-    spark.stop()
-  }
-}
-
-/** Appendix Figure 16: tiny IoU structures on Cranfield-like. */
-object Fig16Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig16")
-    println(Fig16Exp.render(Fig16Exp.run(spark)))
-    spark.stop()
-  }
-}
-
-/** Appendix Figure 17: accuracy budget sweep. */
-object Fig17Job {
-  def main(args: Array[String]): Unit = {
-    val spark = JobSession.create("fig17")
-    println(Fig17Exp.render(Fig17Exp.run(spark)))
-    spark.stop()
+  def main(args: Array[String]): Unit = args.headOption.filter(experiments.contains) match {
+    case Some(name) =>
+      val spark = JobSession.create(name)
+      try println(experiments(name)(spark)) finally spark.stop()
+    case None =>
+      System.err.println(s"usage: repro.jobs.Run <name>; names: ${experiments.keys.mkString(", ")}")
+      sys.exit(2)
   }
 }

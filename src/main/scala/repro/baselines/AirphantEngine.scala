@@ -3,40 +3,23 @@ package repro.baselines
 import repro.cloudstore.{CloudStorage, FetchLedger}
 import repro.core.{Builder, IoUConfig, Posting, Searcher, SearchResult}
 
-/** AIRPHANT itself, behind the common engine interface. */
+/** AIRPHANT itself, behind the common engine interface.
+  *
+  * The naïve hash table baseline is this same engine under another label:
+  * it is "equivalent to IoU Sketch with the only exception that it has a
+  * single layer L=1. Other relevant configurations such as the total number
+  * of bins and common word bins are identical" (§V-A0b), so it is built
+  * through the same Builder with `layersOverride = 1`.
+  */
 final class AirphantEngine(
     store: CloudStorage,
     val built: Builder.BuiltSketch,
     config: IoUConfig,
-    waitLayers: Option[Int] = None,
+    override val name: String = "Airphant (IoU Sketch)",
 ) extends SearchEngine {
 
   /** The underlying Searcher (initializes: one header fetch). */
-  val searcher = new Searcher(store, built.headerBlob, waitLayers)
-
-  override def name: String = "Airphant (IoU Sketch)"
-
-  override def lookup(word: String, ledger: FetchLedger): IndexedSeq[Posting] =
-    searcher.lookup(word, ledger)
-
-  override def search(word: String, topK: Option[Int]): SearchResult =
-    searcher.search(word, topK, config)
-
-  override def indexBytes: Long = built.indexBytes
-}
-
-/** The naïve hash table baseline — "equivalent to IoU Sketch with the only
-  * exception that it has a single layer L=1. Other relevant configurations
-  * such as the total number of bins and common word bins are identical"
-  * (§V-A0b). Built through the same Builder with `layersOverride = 1`.
-  */
-final class HashTableEngine(store: CloudStorage, val built: Builder.BuiltSketch,
-                            config: IoUConfig) extends SearchEngine {
-  require(built.layers == 1, "HashTableEngine must be built with layersOverride = 1")
-
   val searcher = new Searcher(store, built.headerBlob)
-
-  override def name: String = "HashTable (IoU, L=1)"
 
   override def lookup(word: String, ledger: FetchLedger): IndexedSeq[Posting] =
     searcher.lookup(word, ledger)

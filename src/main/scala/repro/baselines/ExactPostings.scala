@@ -1,18 +1,14 @@
 package repro.baselines
 
-import java.io.ByteArrayOutputStream
-
-import org.apache.spark.TaskContext
-import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.cloudstore.CloudStorage
-import repro.core.{BinPointer, Posting, PostingsCodec}
+import repro.core.{BinPointer, BlockCompactor}
 
 /** Exact per-word postings lists persisted in compacted block blobs —
   * the storage substrate of every *non-statistical* baseline (skip list,
   * B-tree, Elasticsearch-like). The paper compresses all baselines'
-  * postings identically to AIRPHANT's (§V-A0b), which this reuse of
-  * [[PostingsCodec]] reproduces.
+  * postings identically to AIRPHANT's (§V-A0b), which building them with
+  * the same [[BlockCompactor]] reproduces.
   */
 object ExactPostings {
 
@@ -38,52 +34,15 @@ object ExactPostings {
             blockTargetBytes: Int = 1 << 20): Built = {
     import spark.implicits._
 
-    val docBlobs = docs.select($"blob").distinct().as[String].collect().sorted
-    val bcBlobIdx = spark.sparkContext.broadcast(docBlobs.zipWithIndex.toMap)
-    val blobId = udf((b: String) => bcBlobIdx.value(b))
-
-    val perWord = docs
-      .select(blobId($"blob") as "blobId", $"offset", $"length",
-              explode(array_distinct(split($"text", "\\s+"))) as "word")
-      .filter(length($"word") > 0)
-      .groupBy($"word")
-      .agg(sort_array(collect_set(struct($"blobId", $"offset", $"length"))) as "postings")
+    val (docBlobs, words) = BlockCompactor.tokenize(spark, docs)
+    val perWord = words.groupBy($"word").agg(BlockCompactor.postings)
 
     val approxBytes = docs.count() * 40L // rough: distinct words/doc * posting bytes
     val numBlocks = math.max(1, math.min(128,
       math.ceil(approxBytes.toDouble / blockTargetBytes).toInt))
 
-    val enc = Encoders.tuple(Encoders.STRING, Encoders.scalaInt, Encoders.scalaLong,
-                             Encoders.scalaInt)
-    val rows = perWord
-      .repartitionByRange(numBlocks, $"word")
-      .sortWithinPartitions($"word")
-      .mapPartitions { it =>
-        val pid = TaskContext.getPartitionId()
-        val buf = new ByteArrayOutputStream()
-        val out = Vector.newBuilder[(String, Int, Long, Int)]
-        it.foreach { row =>
-          val word = row.getString(0)
-          val ps = row.getSeq[Row](1)
-            .map(r => Posting(r.getInt(0), r.getLong(1), r.getInt(2)))
-            .toIndexedSeq
-          val bytes = PostingsCodec.encode(ps)
-          out += ((word, pid, buf.size().toLong, bytes.length))
-          buf.write(bytes, 0, bytes.length)
-        }
-        val res = out.result()
-        if (res.nonEmpty)
-          CloudStorage.named(bucket).put(s"$prefix/postings-$pid", buf.toByteArray)
-        res.iterator
-      }(enc)
-      .collect()
-
-    val pids = rows.map(_._2).distinct.sorted
-    val dense = pids.zipWithIndex.toMap
-    val blockBlobs = pids.map(pid => s"$prefix/postings-$pid")
-    val pointers = rows.map { case (w, pid, off, len) =>
-      w -> BinPointer(dense(pid), off.toInt, len)
-    }.toMap
-    Built(rows.map(_._1).sorted, pointers, blockBlobs, docBlobs)
+    val (blockBlobs, pointers) = BlockCompactor.compact(
+      perWord, Seq("word"), numBlocks, bucket, s"$prefix/postings")(_.getString(0))
+    Built(pointers.map(_._1).sorted, pointers.toMap, blockBlobs, docBlobs)
   }
 }

@@ -31,7 +31,7 @@ final class SkipListIndex(
   override def name: String = "Lucene-like (skip list)"
 
   /** (firstTerm, offset, length) of one block within the level below. */
-  private type LevelEntry = (String, Long, Int)
+  private type LevelEntry = (String, Int, Int)
 
   // ---- build (driver-side; the dictionary is collected already) ---------
 
@@ -41,8 +41,8 @@ final class SkipListIndex(
 
     def writeLevel(blobName: String, blocks: Seq[Array[Byte]]): Vector[LevelEntry] = {
       val buf = new ByteArrayOutputStream()
-      val entries = Vector.newBuilder[(Long, Int)]
-      blocks.foreach { b => entries += ((buf.size().toLong, b.length)); buf.write(b, 0, b.length) }
+      val entries = Vector.newBuilder[(Int, Int)]
+      blocks.foreach { b => entries += ((buf.size(), b.length)); buf.write(b, 0, b.length) }
       store.put(blobName, buf.toByteArray)
       blobs += blobName
       entries.result().zip(blocks).map { case ((off, len), _) => (null: String, off, len) }
@@ -62,7 +62,7 @@ final class SkipListIndex(
       val groups = entries.grouped(fanout).toVector
       val blocks = groups.map { es =>
         serializeBlock(es.map { case (t, off, len) =>
-          (t, BinPointer(0, off.toInt, len)) // block field unused at upper levels
+          (t, BinPointer(0, off, len)) // block field unused at upper levels
         })
       }
       entries = writeLevel(s"$prefix/skiplist-$level", blocks)
@@ -133,7 +133,7 @@ final class SkipListIndex(
     // per level (modulo cache hits), then the postings read.
     var level = levelBlobs.size - 1
     var entries: Vector[(String, BinPointer)] =
-      topEntries.map { case (t, off, len) => (t, BinPointer(0, off.toInt, len)) }
+      topEntries.map { case (t, off, len) => (t, BinPointer(0, off, len)) }
     while (level >= 0) {
       val i = floorIndex(entries.map(_._1), word)
       entries = readBlock(level, entries(i)._2, ledger)

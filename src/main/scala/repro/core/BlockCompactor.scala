@@ -1,0 +1,99 @@
+package repro.core
+
+import java.io.ByteArrayOutputStream
+
+import org.apache.spark.TaskContext
+import org.apache.spark.sql.{Column, DataFrame, Encoder, Encoders, Row, SparkSession}
+import org.apache.spark.sql.functions._
+import repro.cloudstore.CloudStorage
+
+/** The one compaction scheme every term index is built with (§IV-C):
+  * documents are tokenized into (word, posting) rows, postings are grouped
+  * per index key, and the groups are packed into block blobs addressed by
+  * (block, offset, length). The IoU Sketch [[Builder]] groups by
+  * (layer, bin); the exact baselines group by word, so their postings are
+  * "compressed identically to AIRPHANT's" (§V-A0b).
+  */
+object BlockCompactor {
+
+  /** Aggregate of one group: its sorted, duplicate-free postings array. */
+  def postings: Column =
+    sort_array(collect_set(struct(col("blobId"), col("offset"), col("length")))) as "postings"
+
+  /** Tokenize the corpus frame (blob, offset, length, text).
+    *
+    * Returns the sorted document-blob string table (blob names compressed to
+    * int ids, §IV-C) and a frame of (blobId, offset, length, word) with one
+    * row per distinct word of each document. Words are the whitespace runs
+    * of [[repro.corpus.Parsers.words]], so the exact filter sees the same
+    * tokens the index was built from.
+    */
+  def tokenize(spark: SparkSession, docs: DataFrame): (Array[String], DataFrame) = {
+    import spark.implicits._
+    val docBlobs = docs.select($"blob").distinct().as[String].collect().sorted
+    val bcBlobIdx = spark.sparkContext.broadcast(docBlobs.zipWithIndex.toMap)
+    val blobId = udf((b: String) => bcBlobIdx.value(b))
+    val words = docs
+      .select(blobId($"blob") as "blobId", $"offset", $"length",
+              explode(array_distinct(split($"text", "\\s+"))) as "word")
+      .filter(length($"word") > 0)
+    (docBlobs, words)
+  }
+
+  /** Pack `groups` — (key columns…, [[postings]]) — into block blobs.
+    *
+    * The groups are range-partitioned into `numBlocks` partitions and sorted
+    * on `keys`; each partition encodes its groups with [[PostingsCodec]] and
+    * writes them from the executor as one blob `<blobPrefix>-<partition>`
+    * in `bucket`. Only pointers travel back to the driver.
+    *
+    * @param keyOf reads a group's key from the first `keys.size` columns
+    * @return block blob names indexed by dense block id (partitions that
+    *         wrote nothing get no id), and one pointer per key
+    */
+  def compact[K: Encoder](groups: DataFrame, keys: Seq[String], numBlocks: Int,
+                          bucket: String, blobPrefix: String)
+                         (keyOf: Row => K): (Array[String], Array[(K, BinPointer)]) = {
+    val keyCols = keys.map(col)
+    val nKeys = keys.size
+    val enc = Encoders.tuple(implicitly[Encoder[K]], Encoders.scalaInt, Encoders.scalaInt,
+                             Encoders.scalaInt)
+    val rows = groups
+      .repartitionByRange(numBlocks, keyCols: _*)
+      .sortWithinPartitions(keyCols: _*)
+      .mapPartitions { it =>
+        val pid = TaskContext.getPartitionId()
+        val blob = s"$blobPrefix-$pid"
+        val buf = new ByteArrayOutputStream()
+        val out = Vector.newBuilder[(K, Int, Int, Int)]
+        it.foreach { row =>
+          val ps = row.getSeq[Row](nKeys)
+            .map(r => Posting(r.getInt(0), r.getLong(1), r.getInt(2)))
+            .toIndexedSeq
+          val bytes = PostingsCodec.encode(ps)
+          out += ((keyOf(row), pid, narrowOffset(blob, buf.size().toLong, bytes.length),
+                   bytes.length))
+          buf.write(bytes, 0, bytes.length)
+        }
+        val res = out.result()
+        if (res.nonEmpty) CloudStorage.named(bucket).put(blob, buf.toByteArray)
+        res.iterator
+      }(enc)
+      .collect()
+
+    val pids = rows.map(_._2).distinct.sorted
+    val dense = pids.zipWithIndex.toMap
+    val pointers = rows.map { case (k, pid, off, len) => k -> BinPointer(dense(pid), off, len) }
+    (pids.map(pid => s"$blobPrefix-$pid"), pointers)
+  }
+
+  /** Checked narrowing of a range's start inside block `blob` to the Int a
+    * [[BinPointer]] stores. A range ending past `Int.MaxValue` would wrap
+    * into a wrong pointer, so it fails the build instead.
+    */
+  def narrowOffset(blob: String, offset: Long, length: Int): Int = {
+    require(offset >= 0 && offset + length <= Int.MaxValue,
+      s"block $blob: range at offset $offset (+$length bytes) passes Int.MaxValue")
+    offset.toInt
+  }
+}

@@ -1,9 +1,6 @@
 package repro.core
 
-import java.io.ByteArrayOutputStream
-
-import org.apache.spark.TaskContext
-import org.apache.spark.sql.{DataFrame, Encoders, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.cloudstore.CloudStorage
 import repro.corpus.CorpusProfile
@@ -14,9 +11,8 @@ import repro.corpus.CorpusProfile
   * The pipeline is the paper's, expressed in DataFrames: parse documents
   * into words → profile (single pass, [[CorpusProfile]]) → optimise the
   * layer count (Algorithm 1) → aggregate superposts per (layer, bin) →
-  * compact superposts into block blobs (§IV-C) → persist the MHT header.
-  * Blocks are written from executors (one blob per partition), so the
-  * build parallelises; only bin *pointers* are collected to the driver.
+  * compact superposts into block blobs ([[BlockCompactor]], §IV-C) →
+  * persist the MHT header.
   */
 object Builder {
 
@@ -63,81 +59,40 @@ object Builder {
     // Common words (§IV-E): most document-frequent words get exact postings.
     val commonWords: Array[String] =
       profile.topWords.take(math.min(config.commonBins, profile.topWords.size)).map(_._1).toArray
-    val sc = spark.sparkContext
-    val bcCommonIdx = sc.broadcast(commonWords.zipWithIndex.toMap)
-
-    // String-compress doc blob names to integer ids (§IV-C).
-    val docBlobs = docs.select($"blob").distinct().as[String].collect().sorted
-    val bcBlobIdx = sc.broadcast(docBlobs.zipWithIndex.toMap)
-
-    val blobId = udf((b: String) => bcBlobIdx.value(b))
+    val bcCommonIdx = spark.sparkContext.broadcast(commonWords.zipWithIndex.toMap)
     val commonIdx = udf((w: String) => bcCommonIdx.value.getOrElse(w, -1))
     val binOf = udf((word: String, layer: Int) => Hashing.bin(word, seeds(layer), binsPerLayer))
 
-    val wordDocs = docs
-      .select(blobId($"blob") as "blobId", $"offset", $"length",
-              explode(array_distinct(split($"text", "\\s+"))) as "word")
-      .filter(length($"word") > 0)
-      .withColumn("cidx", commonIdx($"word"))
+    val (docBlobs, words) = BlockCompactor.tokenize(spark, docs)
+    val wordDocs = words.withColumn("cidx", commonIdx($"word"))
 
     val layersArr = array((0 until totalLayers).map(lit(_)): _*)
     val regularSupers = wordDocs
       .filter($"cidx" === -1)
-      .select($"word", struct($"blobId", $"offset", $"length") as "p",
-              explode(layersArr) as "layer")
-      .select($"layer", binOf($"word", $"layer") as "bin", $"p")
+      .select($"word", $"blobId", $"offset", $"length", explode(layersArr) as "layer")
+      .select($"layer", binOf($"word", $"layer") as "bin", $"blobId", $"offset", $"length")
       .groupBy($"layer", $"bin")
-      .agg(sort_array(collect_set($"p")) as "postings")
+      .agg(BlockCompactor.postings)
 
     // Common words ride in the same compaction with layer = -1, bin = word index.
     val commonSupers = wordDocs
       .filter($"cidx" =!= -1)
-      .select(lit(-1) as "layer", $"cidx" as "bin", struct($"blobId", $"offset", $"length") as "p")
+      .select(lit(-1) as "layer", $"cidx" as "bin", $"blobId", $"offset", $"length")
       .groupBy($"layer", $"bin")
-      .agg(sort_array(collect_set($"p")) as "postings")
-
-    val allSupers = regularSupers.unionByName(commonSupers)
+      .agg(BlockCompactor.postings)
 
     // Size blocks so each blob lands near the compaction target.
     val approxBytes = (profile.sumDistinct * totalLayers.toLong + profile.nDocs) * 6L
     val numBlocks = math.max(1, math.min(256,
       math.ceil(approxBytes.toDouble / config.blockTargetBytes).toInt))
 
-    val ptrEnc = Encoders.tuple(Encoders.scalaInt, Encoders.scalaInt, Encoders.scalaInt,
-                                Encoders.scalaLong, Encoders.scalaInt)
-    val ptrs = allSupers
-      .repartitionByRange(numBlocks, $"layer", $"bin")
-      .sortWithinPartitions($"layer", $"bin")
-      .mapPartitions { it =>
-        val pid = TaskContext.getPartitionId()
-        val buf = new ByteArrayOutputStream()
-        val rows = Vector.newBuilder[(Int, Int, Int, Long, Int)]
-        it.foreach { row =>
-          val layer = row.getInt(0)
-          val bin = row.getInt(1)
-          val ps = row.getSeq[Row](2)
-            .map(r => Posting(r.getInt(0), r.getLong(1), r.getInt(2)))
-            .toIndexedSeq
-          val bytes = PostingsCodec.encode(ps)
-          rows += ((layer, bin, pid, buf.size().toLong, bytes.length))
-          buf.write(bytes, 0, bytes.length)
-        }
-        val out = rows.result()
-        if (out.nonEmpty)
-          CloudStorage.named(bucket).put(s"$prefix/superposts-$pid", buf.toByteArray)
-        out.iterator
-      }(ptrEnc)
-      .collect()
-
-    // Dense block ids: only partitions that actually wrote a blob.
-    val pids = ptrs.map(_._3).distinct.sorted
-    val dense = pids.zipWithIndex.toMap
-    val blockBlobs = pids.map(pid => s"$prefix/superposts-$pid")
+    val (blockBlobs, ptrs) = BlockCompactor.compact(
+      regularSupers.unionByName(commonSupers), Seq("layer", "bin"), numBlocks,
+      bucket, s"$prefix/superposts")(r => (r.getInt(0), r.getInt(1)))
 
     val binPtrArr = Array.fill(totalLayers)(new Array[BinPointer](binsPerLayer))
     val commonMap = Map.newBuilder[String, BinPointer]
-    ptrs.foreach { case (layer, bin, pid, off, len) =>
-      val p = BinPointer(dense(pid), off.toInt, len)
+    ptrs.foreach { case ((layer, bin), p) =>
       if (layer >= 0) binPtrArr(layer)(bin) = p
       else commonMap += commonWords(bin) -> p
     }

@@ -37,23 +37,7 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
     * postings list for `word` — common-word exact fetch, or the
     * batch-fetch-then-intersect of IoU Sketch.
     */
-  def lookup(word: String, ledger: FetchLedger): Vector[Posting] = {
-    mht.commonWords.get(word) match {
-      case Some(ptr) =>
-        val bytes = store.getRangesParallel(Seq(mht.rangeReq(ptr)), ledger)
-        PostingsCodec.decode(bytes.head)
-      case None =>
-        mht.pointersFor(word) match {
-          case None => Vector.empty // some layer's bin is empty: word not in corpus
-          case Some(ptrs) =>
-            val reqs = ptrs.map(mht.rangeReq)
-            val superposts: Seq[Vector[Posting]] =
-              if (k == ptrs.size) store.getRangesParallel(reqs, ledger).map(PostingsCodec.decode)
-              else store.getRangesKofN(reqs, k, ledger).map { case (_, b) => PostingsCodec.decode(b) }
-            Posting.intersectSorted(superposts.map(v => v: IndexedSeq[Posting]))
-        }
-    }
-  }
+  def lookup(word: String, ledger: FetchLedger): Vector[Posting] = lookupBatch(Seq(word), ledger)(word)
 
   /** End-to-end search: lookup → fetch documents → exact filter.
     * `topK = Some(K)` enables the sampled fetch of §IV-D with `f0`/`delta`
@@ -87,28 +71,34 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
   }
 
   /** Resolve several words' final postings lists with a single batch of
-    * concurrent superpost reads.
+    * concurrent superpost reads: plan each word's pointers (a common word's
+    * exact list, a regular word's L bins, nothing for a word an empty bin
+    * proves absent), fetch them, then decode and intersect per word.
+    *
+    * A batch that holds one regular word waits only for the fastest
+    * `waitLayers` of its L+ ranges (§IV-G). A multi-term batch on a
+    * replicated sketch still waits for all of them: a per-word k-of-n inside
+    * one batch needs a new [[CloudStorage]] method.
     */
   def lookupBatch(words: Seq[String], ledger: FetchLedger): Map[String, Vector[Posting]] = {
-    // Gather (word -> its superpost requests); one flat concurrent batch.
-    val plans = words.map { w =>
-      mht.commonWords.get(w) match {
-        case Some(ptr) => (w, Vector(ptr), true)
-        case None => mht.pointersFor(w) match {
-          case None       => (w, Vector.empty[BinPointer], false)
-          case Some(ptrs) => (w, ptrs.toVector, false)
-        }
-      }
+    val plans = words.distinct.map { w =>
+      w -> mht.commonWords.get(w).map(Vector(_)).orElse(mht.pointersFor(w)).getOrElse(Vector.empty)
     }
-    val flat = plans.flatMap { case (_, ptrs, _) => ptrs }.map(mht.rangeReq)
-    val fetched = store.getRangesParallel(flat, ledger).iterator
-    plans.map { case (w, ptrs, isCommon) =>
-      val lists = ptrs.map(_ => PostingsCodec.decode(fetched.next()))
-      val finalList =
-        if (ptrs.isEmpty) Vector.empty[Posting]
-        else if (isCommon) lists.head
-        else Posting.intersectSorted(lists.map(v => v: IndexedSeq[Posting]))
-      w -> finalList
+    val toFetch = plans.filter(_._2.nonEmpty)
+    val reqs = toFetch.flatMap(_._2).map(mht.rangeReq)
+    val fetched: Seq[Seq[Array[Byte]]] = toFetch match {
+      case Seq() => Nil
+      case Seq((_, ptrs)) if k < ptrs.size => Seq(store.getRangesKofN(reqs, k, ledger).map(_._2))
+      case _ =>
+        val it = store.getRangesParallel(reqs, ledger).iterator
+        toFetch.map { case (_, ptrs) => ptrs.map(_ => it.next()) }
+    }
+    val resolved = toFetch.map(_._1).zip(fetched).map { case (w, bytes) =>
+      w -> (bytes.map(PostingsCodec.decode) match {
+        case Seq(exact) => exact
+        case lists      => Posting.intersectSorted(lists.map(v => v: IndexedSeq[Posting]))
+      })
     }.toMap
+    plans.map { case (w, _) => w -> resolved.getOrElse(w, Vector.empty[Posting]) }.toMap
   }
 }

@@ -6,14 +6,14 @@ import repro.baselines._
 import repro.core.{Builder, IoUConfig}
 
 /** The five engines of the paper's evaluation (§V-A0b), built over one
-  * corpus. AIRPHANT and HashTable share the Builder (the latter with
-  * L = 1 forced); the skip-list, B-tree and Elasticsearch-like engines
+  * corpus. AIRPHANT and HashTable are one engine class over the same
+  * Builder (the latter with L = 1 forced); the skip-list, B-tree and Elasticsearch-like engines
   * share one exact-postings substrate; everyone shares the document
   * retrieval routine.
   */
 final case class EngineSet(
     airphant: AirphantEngine,
-    hashTable: HashTableEngine,
+    hashTable: AirphantEngine,
     skipList: SkipListIndex,
     bTree: BTreeIndex,
     elastic: ElasticLike,
@@ -45,7 +45,8 @@ object Engines {
     val es = new ElasticLike(corpus.store, sl, corpus.bucket, "elastic")
     EngineSet(
       new AirphantEngine(corpus.store, air, config),
-      new HashTableEngine(corpus.store, ht, config.copy(layersOverride = Some(1))),
+      new AirphantEngine(corpus.store, ht, config.copy(layersOverride = Some(1)),
+                         "HashTable (IoU, L=1)"),
       sl, bt, es)
   }
 }

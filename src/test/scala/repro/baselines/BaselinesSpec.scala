@@ -130,10 +130,9 @@ class BaselinesSpec extends SparkSpec {
     engines.all.foreach(e => assert(e.indexBytes > 0, e.name))
   }
 
-  test("HashTableEngine refuses a multi-layer sketch") {
-    intercept[IllegalArgumentException] {
-      new HashTableEngine(corpus.store, engines.airphant.built, config)
-    }
+  test("Engines.build gives the hash table a single-layer sketch") {
+    assert(engines.hashTable.built.layers == 1)
+    assert(engines.hashTable.name == "HashTable (IoU, L=1)")
   }
 
   test("engine names are distinct (display labels)") {

@@ -34,6 +34,13 @@ class BuilderSearcherSpec extends SparkSpec {
 
   private lazy val searcher = new Searcher(store, built.headerBlob)
 
+  /** L* + 2 replicated sketch (§IV-G) whose Searcher waits for L* layers. */
+  private lazy val replicated: Builder.BuiltSketch =
+    Builder.build(spark, docs, bucket, "iourep", config.copy(extraLayers = 2))
+
+  private lazy val replicatedSearcher =
+    new Searcher(store, replicated.headerBlob, waitLayers = Some(replicated.optimizedLayers))
+
   /** (word, doc_id) relation where doc_id = "blob:offset" (the posting id). */
   private lazy val postingsDf: DataFrame = {
     import spark.implicits._
@@ -227,12 +234,9 @@ class BuilderSearcherSpec extends SparkSpec {
   }
 
   test("replication (§IV-G): L+ layers, wait for L*, still exact after filter") {
-    val cfgR = config.copy(extraLayers = 2)
-    val rep = Builder.build(spark, docs, bucket, "iourep", cfgR)
-    assert(rep.layers == rep.optimizedLayers + 2)
-    val sRep = new Searcher(store, rep.headerBlob, waitLayers = Some(rep.optimizedLayers))
+    assert(replicated.layers == replicated.optimizedLayers + 2)
     vocab.take(40).foreach { w =>
-      val got = sRep.search(w).docs.map(_.ref.docId).toSet
+      val got = replicatedSearcher.search(w).docs.map(_.ref.docId).toSet
       val want = searcher.search(w).docs.map(_.ref.docId).toSet
       assert(got == want, s"replicated searcher wrong for $w")
     }
@@ -251,6 +255,32 @@ class BuilderSearcherSpec extends SparkSpec {
       }.sum
       assert(lookupWait(sRep) < lookupWait(sAll))
     } finally store.setModel(NetworkModel())
+  }
+
+  test("lookup and a one-word lookupBatch are the same path: same postings, same cost") {
+    val absent = (0 until 20).map(i => s"absent-word-$i")
+    Seq(searcher, replicatedSearcher).foreach { s =>
+      (vocab.toSeq ++ s.mht.commonWords.keys ++ absent).foreach { w =>
+        val (l1, l2) = (new FetchLedger, new FetchLedger)
+        assert(s.lookup(w, l1) == s.lookupBatch(Seq(w), l2)(w), w)
+        assert(l1.stats == l2.stats, w)
+      }
+    }
+  }
+
+  test("replicated sketch: a multi-term AND still equals DuckDB INTERSECT (oracle)") {
+    import spark.implicits._
+    // Words of one document, so the intersection is not trivially empty.
+    val doc = postingsDf.select("doc_id").as[String].collect().min
+    val Seq(a, b, c) = postingsDf.filter($"doc_id" === doc).select("word").as[String]
+      .collect().sorted.take(3).toSeq
+    val r = replicatedSearcher.searchBoolean(BoolQuery.And(Seq(
+      BoolQuery.Term(a), BoolQuery.Term(b), BoolQuery.Term(c))))
+    assert(r.docs.nonEmpty)
+    Oracle.assertEquivalent(
+      resultDf(r.docs.map(_.ref.docId)),
+      s"${sqlFor(a)} INTERSECT ${sqlFor(b)} INTERSECT ${sqlFor(c)}",
+      "postings" -> postingsDf)
   }
 
   test("header and superposts account for all persisted index bytes") {

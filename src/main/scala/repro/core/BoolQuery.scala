@@ -23,20 +23,16 @@ object BoolQuery {
   }
 
   /** Candidate postings via superpost set algebra. */
-  def candidates(q: BoolQuery, perTerm: Map[String, Vector[Posting]]): Vector[Posting] = q match {
-    case Term(w) => perTerm(w)
+  def candidates(q: BoolQuery, perTerm: Map[String, IndexedSeq[Posting]]): Postings = q match {
+    case Term(w) => Postings.from(perTerm(w))
     case And(qs) => Posting.intersectSorted(qs.map(candidates(_, perTerm)))
     case Or(qs)  => Posting.unionSorted(qs.map(candidates(_, perTerm)))
   }
 
   /** Exact Boolean evaluation on a document's text. */
-  def matches(q: BoolQuery, text: String): Boolean = {
-    val ws = Parsers.distinctWords(text)
-    def go(e: BoolQuery): Boolean = e match {
-      case Term(w) => ws.contains(w)
-      case And(qs) => qs.forall(go)
-      case Or(qs)  => qs.exists(go)
-    }
-    go(q)
+  def matches(q: BoolQuery, text: String): Boolean = q match {
+    case Term(w) => Parsers.containsWord(text, w)
+    case And(qs) => qs.forall(matches(_, text))
+    case Or(qs)  => qs.exists(matches(_, text))
   }
 }

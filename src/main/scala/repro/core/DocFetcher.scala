@@ -1,5 +1,7 @@
 package repro.core
 
+import java.nio.charset.StandardCharsets
+
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
 import repro.corpus.{Doc, DocRef, Parsers}
 
@@ -23,7 +25,7 @@ object DocFetcher {
     val docs = Vector.newBuilder[Doc]
     var kept = 0
     candidates.indices.foreach { i =>
-      val text = new String(bytes(i), "UTF-8")
+      val text = new String(bytes(i), StandardCharsets.UTF_8)
       if (keep(text)) {
         kept += 1
         val r = reqs(i)
@@ -48,16 +50,33 @@ object DocFetcher {
       val r = fetchAndFilter(store, docBlobs, candidates, keep, ledger)
       return Result(r.docs.take(k), r.fetched, r.falsePositives)
     }
-    val shuffled = new scala.util.Random(0xA17FA47L).shuffle(candidates.toVector)
-    val first = fetchAndFilter(store, docBlobs, shuffled.take(rk), keep, ledger)
+    val order = sampleOrder(candidates.size)
+    def pick(from: Int, until: Int) = (from until until).map(i => candidates(order(i)))
+    val first = fetchAndFilter(store, docBlobs, pick(0, rk), keep, ledger)
     if (first.docs.size >= k) {
       Result(first.docs.take(k), first.fetched, first.falsePositives)
     } else {
-      val rest = fetchAndFilter(store, docBlobs, shuffled.drop(rk), keep, ledger)
+      val rest = fetchAndFilter(store, docBlobs, pick(rk, order.length), keep, ledger)
       Result((first.docs ++ rest.docs).take(k),
              first.fetched + rest.fetched,
              first.falsePositives + rest.falsePositives)
     }
+  }
+
+  /** The order in which [[fetchTopK]] samples `n` candidates: the
+    * permutation `new Random(0xA17FA47L).shuffle(0 until n)`, drawn with
+    * the same `nextInt` sequence but on a primitive index array.
+    */
+  private[core] def sampleOrder(n: Int): Array[Int] = {
+    val rng = new scala.util.Random(0xA17FA47L)
+    val order = Array.range(0, n)
+    var m = n
+    while (m >= 2) {
+      val k = rng.nextInt(m)
+      val t = order(m - 1); order(m - 1) = order(k); order(k) = t
+      m -= 1
+    }
+    order
   }
 
   /** The exact-match predicate for a single keyword. */

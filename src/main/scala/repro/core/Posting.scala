@@ -1,5 +1,7 @@
 package repro.core
 
+import scala.collection.immutable
+
 /** One posting: the byte range of a document inside a corpus blob.
   *
   * Blob names are compressed to integer keys (`blobId`) via the string
@@ -16,49 +18,153 @@ final case class Posting(blobId: Int, offset: Long, length: Int) extends Ordered
     if (c != 0) c else java.lang.Long.compare(offset, that.offset)
   }
 
-  /** Packed identity for fast set operations (offset < 2^40 assumed,
-    * i.e. blobs under 1 TB — far above any blob we write).
-    */
-  def key: Long = (blobId.toLong << 40) | offset
+  /** Packed identity `blobId << 40 | offset`; its order is the posting order. */
+  def key: Long = Posting.pack(blobId, offset)
 }
 
 object Posting {
-  /** Intersection of sorted, duplicate-free postings lists (the IoU in
-    * IoU Sketch). Linear merge over all lists at once.
+  private final val OffsetBits = 40
+  /** Exclusive bound on a packable offset (blobs under 1 TiB). */
+  private final val MaxOffset: Long = 1L << OffsetBits
+  /** Exclusive bound on a packable blob id (keeps every key non-negative). */
+  private final val MaxBlobId: Int = 1 << (63 - OffsetBits)
+
+  /** Packs (blobId, offset) into one `Long` key. Throws rather than let two
+    * postings alias one key.
     */
-  def intersectSorted(lists: Seq[IndexedSeq[Posting]]): Vector[Posting] = {
-    if (lists.isEmpty) return Vector.empty
-    if (lists.exists(_.isEmpty)) return Vector.empty
-    val sortedLists = lists.sortBy(_.size)
-    val smallest = sortedLists.head
-    val rest = sortedLists.tail
-    val out = Vector.newBuilder[Posting]
-    val cursors = Array.fill(rest.size)(0)
-    var i = 0
-    while (i < smallest.size) {
-      val p = smallest(i)
-      var inAll = true
-      var j = 0
-      while (inAll && j < rest.size) {
-        val lst = rest(j)
-        var c = cursors(j)
-        while (c < lst.size && lst(c) < p) c += 1
-        cursors(j) = c
-        inAll = c < lst.size && lst(c) == p
-        j += 1
-      }
-      if (inAll) out += p
-      i += 1
-    }
-    out.result()
+  def pack(blobId: Int, offset: Long): Long = {
+    if (blobId < 0 || blobId >= MaxBlobId)
+      throw new IllegalArgumentException(s"blobId $blobId outside [0, $MaxBlobId) of a posting key")
+    if (offset < 0 || offset >= MaxOffset)
+      throw new IllegalArgumentException(s"offset $offset outside [0, $MaxOffset) of a posting key")
+    (blobId.toLong << OffsetBits) | offset
   }
 
-  /** Union of sorted, duplicate-free postings lists (superpost merge). */
-  def unionSorted(lists: Seq[IndexedSeq[Posting]]): Vector[Posting] = {
-    val merged = lists.flatten.sorted
-    val out = Vector.newBuilder[Posting]
-    var last: Posting = null
-    merged.foreach { p => if (last == null || p != last) { out += p; last = p } }
-    out.result()
+  private[core] def blobIdOf(key: Long): Int = (key >>> OffsetBits).toInt
+  private[core] def offsetOf(key: Long): Long = key & (MaxOffset - 1)
+
+  /** Intersection of sorted, duplicate-free postings lists (the IoU in
+    * IoU Sketch). Walks the smallest list and gallops — exponential, then
+    * binary search — through each other list from its cursor, so the cost
+    * is O(s · log(n / s)) for sizes s ≤ n; stops when any cursor runs out.
+    */
+  def intersectSorted(lists: Seq[IndexedSeq[Posting]]): Postings = {
+    if (lists.isEmpty) return Postings.empty
+    val bySize = lists.map(Postings.from).sortBy(_.size)
+    val smallest = bySize.head
+    if (bySize.size == 1 || smallest.isEmpty) return smallest
+    val others = bySize.tail.map(_.keys).toArray
+    val cursors = new Array[Int](others.length)
+    val keys = new Array[Long](smallest.size)
+    val lengths = new Array[Int](smallest.size)
+    var kept = 0
+    var exhausted = false
+    var i = 0
+    while (!exhausted && i < smallest.size) {
+      val key = smallest.keys(i)
+      var inAll = true
+      var j = 0
+      while (inAll && j < others.length) {
+        val a = others(j)
+        val c = gallop(a, cursors(j), key)
+        cursors(j) = c
+        exhausted = c == a.length
+        inAll = !exhausted && a(c) == key
+        j += 1
+      }
+      if (inAll) { keys(kept) = key; lengths(kept) = smallest.lengths(i); kept += 1 }
+      i += 1
+    }
+    Postings.prefix(keys, lengths, kept)
+  }
+
+  /** First index `>= from` whose key is `>= key` (`a.length` if none). */
+  private def gallop(a: Array[Long], from: Int, key: Long): Int = {
+    if (from >= a.length || a(from) >= key) return from
+    var lo = from // a(lo) < key throughout
+    var step = 1
+    var hi = if (step >= a.length - lo) a.length else lo + step
+    while (hi < a.length && a(hi) < key) {
+      lo = hi
+      step <<= 1
+      hi = if (step >= a.length - lo) a.length else lo + step
+    }
+    lo += 1
+    while (lo < hi) {
+      val mid = (lo + hi) >>> 1
+      if (a(mid) < key) lo = mid + 1 else hi = mid
+    }
+    lo
+  }
+
+  /** Union of sorted, duplicate-free postings lists (superpost merge):
+    * a k-way merge over the packed keys.
+    */
+  def unionSorted(lists: Seq[IndexedSeq[Posting]]): Postings = {
+    val ps = lists.map(Postings.from).filter(_.nonEmpty).toArray
+    val keys = new Array[Long](ps.map(_.size).sum)
+    val lengths = new Array[Int](keys.length)
+    val cursors = new Array[Int](ps.length)
+    var n = 0
+    var live = ps.length
+    while (live > 0) {
+      var min = 0L
+      var from = -1
+      var j = 0
+      while (j < ps.length) {
+        val c = cursors(j)
+        if (c < ps(j).size && (from < 0 || ps(j).keys(c) < min)) { min = ps(j).keys(c); from = j }
+        j += 1
+      }
+      keys(n) = min
+      lengths(n) = ps(from).lengths(cursors(from))
+      n += 1
+      j = 0
+      while (j < ps.length) {
+        val c = cursors(j)
+        if (c < ps(j).size && ps(j).keys(c) == min) {
+          cursors(j) = c + 1
+          if (c + 1 == ps(j).size) live -= 1
+        }
+        j += 1
+      }
+    }
+    Postings.prefix(keys, lengths, n)
+  }
+}
+
+/** A sorted postings list in packed form: `keys(i)` is posting i's
+  * [[Posting.key]] and `lengths(i)` its length. This is what superposts
+  * decode into and what the set algebra runs on; a [[Posting]] is built
+  * only when an element is read through the `IndexedSeq` interface.
+  * The arrays are shared, not copied: nothing may write to them.
+  */
+final class Postings(val keys: Array[Long], val lengths: Array[Int])
+    extends immutable.IndexedSeq[Posting] {
+  require(keys.length == lengths.length, s"${keys.length} keys but ${lengths.length} lengths")
+
+  override def length: Int = keys.length
+  override def apply(i: Int): Posting =
+    Posting(Posting.blobIdOf(keys(i)), Posting.offsetOf(keys(i)), lengths(i))
+  override protected[this] def className: String = "Postings"
+}
+
+object Postings {
+  val empty: Postings = new Postings(Array.emptyLongArray, Array.emptyIntArray)
+
+  /** The first `n` entries of the given arrays (no copy if that is all). */
+  private[core] def prefix(keys: Array[Long], lengths: Array[Int], n: Int): Postings =
+    if (n == keys.length) new Postings(keys, lengths)
+    else new Postings(java.util.Arrays.copyOf(keys, n), java.util.Arrays.copyOf(lengths, n))
+
+  /** Packs a sorted postings list (no copy if it is packed already). */
+  def from(ps: IndexedSeq[Posting]): Postings = ps match {
+    case p: Postings => p
+    case _ =>
+      val keys = new Array[Long](ps.size)
+      val lengths = new Array[Int](ps.size)
+      var i = 0
+      while (i < ps.size) { keys(i) = ps(i).key; lengths(i) = ps(i).length; i += 1 }
+      new Postings(keys, lengths)
   }
 }

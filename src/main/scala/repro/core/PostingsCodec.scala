@@ -79,11 +79,15 @@ object PostingsCodec {
     out.toByteArray
   }
 
-  /** Decode a superpost previously produced by [[encode]]. */
-  def decode(bytes: Array[Byte]): Vector[Posting] = {
+  /** Decode a superpost previously produced by [[encode]] straight into
+    * packed keys; a (blobId, offset) a key cannot hold is rejected.
+    */
+  def decode(bytes: Array[Byte]): Postings = {
     val r = new Reader(bytes)
     val n = r.readVarInt()
-    val out = Vector.newBuilder[Posting]
+    require(n <= r.remaining / 3, s"superpost claims $n postings in ${r.remaining} bytes")
+    val keys = new Array[Long](n)
+    val lengths = new Array[Int](n)
     var blob = 0
     var offset = 0L
     var i = 0
@@ -92,10 +96,10 @@ object PostingsCodec {
       blob += blobDelta
       val offBase = if (blobDelta == 0) offset else 0L
       offset = offBase + r.readVarLong()
-      val len = r.readVarInt()
-      out += Posting(blob, offset, len)
+      keys(i) = Posting.pack(blob, offset)
+      lengths(i) = r.readVarInt()
       i += 1
     }
-    out.result()
+    new Postings(keys, lengths)
   }
 }

@@ -37,7 +37,7 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
     * postings list for `word` — common-word exact fetch, or the
     * batch-fetch-then-intersect of IoU Sketch.
     */
-  def lookup(word: String, ledger: FetchLedger): Vector[Posting] = lookupBatch(Seq(word), ledger)(word)
+  def lookup(word: String, ledger: FetchLedger): Postings = lookupBatch(Seq(word), ledger)(word)
 
   /** End-to-end search: lookup → fetch documents → exact filter.
     * `topK = Some(K)` enables the sampled fetch of §IV-D with `f0`/`delta`
@@ -63,7 +63,7 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
   def searchBoolean(query: BoolQuery, config: IoUConfig = IoUConfig()): SearchResult = {
     val ledger = new FetchLedger
     val terms = BoolQuery.terms(query).toSeq.sorted
-    val perTerm: Map[String, Vector[Posting]] = lookupBatch(terms, ledger)
+    val perTerm = lookupBatch(terms, ledger)
     val candidates = BoolQuery.candidates(query, perTerm)
     val keep: String => Boolean = t => BoolQuery.matches(query, t)
     val r = DocFetcher.fetchAndFilter(store, mht.docBlobs, candidates, keep, ledger)
@@ -80,7 +80,7 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
     * replicated sketch still waits for all of them: a per-word k-of-n inside
     * one batch needs a new [[CloudStorage]] method.
     */
-  def lookupBatch(words: Seq[String], ledger: FetchLedger): Map[String, Vector[Posting]] = {
+  def lookupBatch(words: Seq[String], ledger: FetchLedger): Map[String, Postings] = {
     val plans = words.distinct.map { w =>
       w -> mht.commonWords.get(w).map(Vector(_)).orElse(mht.pointersFor(w)).getOrElse(Vector.empty)
     }
@@ -96,9 +96,9 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
     val resolved = toFetch.map(_._1).zip(fetched).map { case (w, bytes) =>
       w -> (bytes.map(PostingsCodec.decode) match {
         case Seq(exact) => exact
-        case lists      => Posting.intersectSorted(lists.map(v => v: IndexedSeq[Posting]))
+        case lists      => Posting.intersectSorted(lists)
       })
     }.toMap
-    plans.map { case (w, _) => w -> resolved.getOrElse(w, Vector.empty[Posting]) }.toMap
+    plans.map { case (w, _) => w -> resolved.getOrElse(w, Postings.empty) }.toMap
   }
 }

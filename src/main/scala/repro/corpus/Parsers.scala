@@ -17,9 +17,27 @@ object Parsers {
   /** Distinct words of one document (the |W_i| set of §IV-A). */
   def distinctWords(text: String): Set[String] = words(text).toSet
 
-  /** Exact-match predicate used for the final false-positive filter. */
-  def containsWord(text: String, word: String): Boolean =
-    distinctWords(text).contains(word)
+  /** Exact-match predicate used for the final false-positive filter:
+    * `words(text).contains(word)`, decided without allocating by finding
+    * an occurrence of `word` bounded by whitespace or the text's ends.
+    */
+  def containsWord(text: String, word: String): Boolean = {
+    if (word.isEmpty || word.exists(isSpace)) return false
+    var at = text.indexOf(word)
+    while (at >= 0) {
+      val end = at + word.length
+      if ((at == 0 || isSpace(text.charAt(at - 1))) && (end == text.length || isSpace(text.charAt(end))))
+        return true
+      at = text.indexOf(word, at + 1)
+    }
+    false
+  }
+
+  /** Java regex `\s`, the separator of [[words]]: `[ \t\n\x0B\f\r]`.
+    * Not `Character.isWhitespace`, which differs on U+001C–U+001F and
+    * U+2003: the index tokenizes on `\s`, so any difference is a wrong answer.
+    */
+  private def isSpace(c: Char): Boolean = c == ' ' || (c >= '\t' && c <= '\r')
 
   /** Default corpus→document parser: one blob holds newline-delimited
     * documents. Returns each document's (offset, length, text); lengths

@@ -1,5 +1,6 @@
 package repro.datasource
 
+import java.nio.charset.StandardCharsets
 import java.util
 
 import org.apache.spark.sql.catalyst.InternalRow
@@ -162,10 +163,8 @@ private[datasource] class KeywordReader(p: KeywordPartition)
     val store = CloudStorage.named(p.bucket)
     val reqs = p.postings.toIndexedSeq.map(po => RangeReq(p.docBlobs(po.blobId), po.offset, po.length))
     val bytes = store.getRangesParallel(reqs, new FetchLedger)
-    reqs.zip(bytes).iterator.collect {
-      case (req, b) if Parsers.containsWord(new String(b, "UTF-8"), p.word) =>
-        AirphantRows.row(p.word, req, new String(b, "UTF-8"))
-    }
+    reqs.iterator.zip(bytes).map { case (req, b) => (req, new String(b, StandardCharsets.UTF_8)) }
+      .collect { case (req, text) if Parsers.containsWord(text, p.word) => AirphantRows.row(p.word, req, text) }
   }
 
   private var current: InternalRow = _

@@ -89,6 +89,13 @@ class DocFetcherSpec extends AnyFunSuite {
     assert(run() == run())
   }
 
+  test("the top-K sample order is Random(0xA17FA47L).shuffle of the candidate indices") {
+    Seq(0, 1, 2, 17, 1000).foreach { n =>
+      val want = new scala.util.Random(0xA17FA47L).shuffle((0 until n).toVector)
+      assert(DocFetcher.sampleOrder(n).toVector == want, s"n = $n")
+    }
+  }
+
   test("wordPredicate is exact-token semantics") {
     val p = DocFetcher.wordPredicate("air")
     assert(p("the air is cold"))

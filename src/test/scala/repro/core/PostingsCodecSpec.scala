@@ -81,6 +81,37 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     }
   }
 
+  test("posting key rejects an offset of 2^40 and a blob id of 2^23 instead of aliasing") {
+    val maxOff = (1L << 40) - 1
+    val maxBlob = (1 << 23) - 1
+    assert(Posting(0, maxOff, 1).key == maxOff)
+    assert(Posting(maxBlob, 0, 1).key == maxBlob.toLong << 40)
+    assert(Posting(maxBlob, maxOff, 1).key == Long.MaxValue)
+    val off = intercept[IllegalArgumentException](Posting(0, 1L << 40, 1).key)
+    assert(off.getMessage.contains("offset") && off.getMessage.contains((1L << 40).toString))
+    val blob = intercept[IllegalArgumentException](Posting(1 << 23, 0, 1).key)
+    assert(blob.getMessage.contains("blobId") && blob.getMessage.contains((1 << 23).toString))
+  }
+
+  test("decode rejects postings whose key would alias, accepts the largest packable ones") {
+    val edge = Vector(Posting(0, (1L << 40) - 1, 7), Posting((1 << 23) - 1, (1L << 40) - 1, 9))
+    assert(PostingsCodec.decode(PostingsCodec.encode(edge)) == edge)
+    assert(Posting.unionSorted(Seq(edge.drop(1), edge.take(1), edge)) == edge)
+    assert(Posting.intersectSorted(Seq(edge, edge.drop(1))) == edge.drop(1))
+    val off = intercept[IllegalArgumentException](
+      PostingsCodec.decode(PostingsCodec.encode(Vector(Posting(3, 1L << 40, 1)))))
+    assert(off.getMessage.contains("offset") && off.getMessage.contains((1L << 40).toString))
+    val blob = intercept[IllegalArgumentException](
+      PostingsCodec.decode(PostingsCodec.encode(Vector(Posting(0, 5, 1), Posting(1 << 23, 0, 1)))))
+    assert(blob.getMessage.contains("blobId") && blob.getMessage.contains((1 << 23).toString))
+  }
+
+  test("decode rejects a count larger than the bytes can hold") {
+    val out = new java.io.ByteArrayOutputStream()
+    PostingsCodec.writeVarLong(out, 1000L)
+    intercept[IllegalArgumentException](PostingsCodec.decode(out.toByteArray))
+  }
+
   test("posting rejects negative fields") {
     intercept[IllegalArgumentException](Posting(-1, 0, 0))
     intercept[IllegalArgumentException](Posting(0, -1, 0))
@@ -104,6 +135,38 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
   test("intersectSorted of a single list is itself") {
     forAllG(genSorted, trials = 50) { ps =>
       assert(Posting.intersectSorted(Seq(ps)) == ps)
+    }
+  }
+
+  test("intersectSorted gallops over skewed sizes: 1 vs 100 000 keys") {
+    val big = Postings.from(Vector.tabulate(100000)(i => Posting(i % 7, i.toLong * 3, 2)).sorted)
+    Seq(0, 50004, 99999).map(big).foreach { p =>
+      assert(Posting.intersectSorted(Seq(Vector(p), big)) == Vector(p))
+      assert(Posting.intersectSorted(Seq(big, Vector(p), big)) == Vector(p))
+    }
+    Seq(Posting(3, 1, 2), Posting(0, 1, 2), Posting(7, 0, 2)).foreach { p =>
+      assert(Posting.intersectSorted(Seq(big, Vector(p))).isEmpty, p)
+    }
+  }
+
+  test("intersectSorted of disjoint lists is empty; of identical lists is the list") {
+    val evens = Vector.tabulate(500)(i => Posting(0, 2L * i, 1))
+    val odds = Vector.tabulate(500)(i => Posting(0, 2L * i + 1, 1))
+    assert(Posting.intersectSorted(Seq(evens, odds)).isEmpty)
+    assert(Posting.intersectSorted(Seq(evens, Postings.from(evens), evens)) == evens)
+  }
+
+  test("mixed packed and boxed inputs: intersection and union equal the set algebra, sorted") {
+    forAllG(Gen.listOfN(4, genSorted), trials = 100) { lists =>
+      val mixed = lists.zipWithIndex.map { case (l, i) =>
+        if (i % 2 == 0) PostingsCodec.decode(PostingsCodec.encode(l)) else l
+      }
+      val inter = Posting.intersectSorted(mixed)
+      assert(inter.toSet == lists.map(_.toSet).reduce(_ intersect _))
+      assert(inter == inter.sorted)
+      val union = Posting.unionSorted(mixed)
+      assert(union.toSet == lists.flatten.toSet)
+      assert(union == union.distinct.sorted)
     }
   }
 

@@ -25,6 +25,31 @@ class ParsersSpec extends AnyFunSuite with GenChecks {
     assert(!Parsers.containsWord("helloairphant", "airphant"))
   }
 
+  test("containsWord agrees with words(text).contains on any Unicode text") {
+    // Java `\s` chars, Unicode spaces `\s` does not match, and plain letters.
+    val alphabet = " \t\n\u000B\f\r\u00A0\u2003\u0085\u001C\u001D\u001E\u001Fab".toSeq
+    val genChar = Gen.frequency(9 -> Gen.oneOf(alphabet), 1 -> Gen.choose(Char.MinValue, Char.MaxValue))
+    val genText = Gen.listOf(genChar).map(_.mkString)
+    def agree(text: String, word: String): Unit =
+      assert(Parsers.containsWord(text, word) == Parsers.words(text).contains(word),
+             s"text ${text.map(_.toInt)} word ${word.map(_.toInt)}")
+    forAllG(Gen.zip(genText, Gen.listOf(genChar).map(_.take(3).mkString)), trials = 500) {
+      case (text, word) =>
+        agree(text, word)
+        Parsers.words(text).foreach(agree(text, _))
+    }
+    val cases = Seq(
+      "a\u00A0b" -> "a", "a\u00A0b" -> "a\u00A0b", "a\u2003b" -> "a", "a\u2003b" -> "a\u2003b",
+      "a\u0085b" -> "b", "a\u0085b" -> "a\u0085b", "x\u001Cy" -> "x", "x\u001Fy" -> "x\u001Fy",
+      "x\u001Dy\u001E" -> "y", "a\u000Bb" -> "b", "a\fb" -> "a", "a\fb" -> "a\fb",
+      "  lead" -> "lead", "trail \t" -> "trail", " \n both\r " -> "both", " \n both\r " -> "",
+      "" -> "", "x" -> "", "a b" -> "a b", "a  b" -> " ", "a b" -> "b ",
+      "airphants airphant" -> "airphant", "airphants airphantx" -> "airphant",
+      "aa aaa aa" -> "aa", "aaa aaaa" -> "aa", "aa aaa aa" -> "aaa",
+    )
+    cases.foreach { case (t, w) => agree(t, w) }
+  }
+
   test("splitBlob splits newline-delimited docs with exact byte ranges") {
     val bytes = "doc one\ndoc two\nthird".getBytes("UTF-8")
     val docs = Parsers.splitBlob(bytes)

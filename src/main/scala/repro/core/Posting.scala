@@ -44,9 +44,8 @@ object Posting {
   private[core] def offsetOf(key: Long): Long = key & (MaxOffset - 1)
 
   /** Intersection of sorted, duplicate-free postings lists (the IoU in
-    * IoU Sketch). Walks the smallest list and gallops — exponential, then
-    * binary search — through each other list from its cursor, so the cost
-    * is O(s · log(n / s)) for sizes s ≤ n; stops when any cursor runs out.
+    * IoU Sketch). Walks the smallest list and advances one cursor per
+    * other list over the packed keys; stops when any cursor runs out.
     */
   def intersectSorted(lists: Seq[IndexedSeq[Posting]]): Postings = {
     if (lists.isEmpty) return Postings.empty
@@ -66,7 +65,8 @@ object Posting {
       var j = 0
       while (inAll && j < others.length) {
         val a = others(j)
-        val c = gallop(a, cursors(j), key)
+        var c = cursors(j)
+        while (c < a.length && a(c) < key) c += 1
         cursors(j) = c
         exhausted = c == a.length
         inAll = !exhausted && a(c) == key
@@ -78,59 +78,9 @@ object Posting {
     Postings.prefix(keys, lengths, kept)
   }
 
-  /** First index `>= from` whose key is `>= key` (`a.length` if none). */
-  private def gallop(a: Array[Long], from: Int, key: Long): Int = {
-    if (from >= a.length || a(from) >= key) return from
-    var lo = from // a(lo) < key throughout
-    var step = 1
-    var hi = if (step >= a.length - lo) a.length else lo + step
-    while (hi < a.length && a(hi) < key) {
-      lo = hi
-      step <<= 1
-      hi = if (step >= a.length - lo) a.length else lo + step
-    }
-    lo += 1
-    while (lo < hi) {
-      val mid = (lo + hi) >>> 1
-      if (a(mid) < key) lo = mid + 1 else hi = mid
-    }
-    lo
-  }
-
-  /** Union of sorted, duplicate-free postings lists (superpost merge):
-    * a k-way merge over the packed keys.
-    */
-  def unionSorted(lists: Seq[IndexedSeq[Posting]]): Postings = {
-    val ps = lists.map(Postings.from).filter(_.nonEmpty).toArray
-    val keys = new Array[Long](ps.map(_.size).sum)
-    val lengths = new Array[Int](keys.length)
-    val cursors = new Array[Int](ps.length)
-    var n = 0
-    var live = ps.length
-    while (live > 0) {
-      var min = 0L
-      var from = -1
-      var j = 0
-      while (j < ps.length) {
-        val c = cursors(j)
-        if (c < ps(j).size && (from < 0 || ps(j).keys(c) < min)) { min = ps(j).keys(c); from = j }
-        j += 1
-      }
-      keys(n) = min
-      lengths(n) = ps(from).lengths(cursors(from))
-      n += 1
-      j = 0
-      while (j < ps.length) {
-        val c = cursors(j)
-        if (c < ps(j).size && ps(j).keys(c) == min) {
-          cursors(j) = c + 1
-          if (c + 1 == ps(j).size) live -= 1
-        }
-        j += 1
-      }
-    }
-    Postings.prefix(keys, lengths, n)
-  }
+  /** Union of sorted, duplicate-free postings lists (superpost merge). */
+  def unionSorted(lists: Seq[IndexedSeq[Posting]]): Postings =
+    Postings.from(lists.flatten.distinct.sorted.toIndexedSeq)
 }
 
 /** A sorted postings list in packed form: `keys(i)` is posting i's

@@ -80,12 +80,13 @@ object PostingsCodec {
   }
 
   /** Decode a superpost previously produced by [[encode]] straight into
-    * packed keys; a (blobId, offset) a key cannot hold is rejected.
+    * packed keys; a (blobId, offset) a key cannot hold, or a negative
+    * length, is rejected.
     */
   def decode(bytes: Array[Byte]): Postings = {
     val r = new Reader(bytes)
     val n = r.readVarInt()
-    require(n <= r.remaining / 3, s"superpost claims $n postings in ${r.remaining} bytes")
+    require(n >= 0 && n <= r.remaining / 3, s"superpost claims $n postings in ${r.remaining} bytes")
     val keys = new Array[Long](n)
     val lengths = new Array[Int](n)
     var blob = 0
@@ -97,7 +98,9 @@ object PostingsCodec {
       val offBase = if (blobDelta == 0) offset else 0L
       offset = offBase + r.readVarLong()
       keys(i) = Posting.pack(blob, offset)
-      lengths(i) = r.readVarInt()
+      val length = r.readVarInt()
+      require(length >= 0, s"posting $i has length $length")
+      lengths(i) = length
       i += 1
     }
     new Postings(keys, lengths)

@@ -112,6 +112,16 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     intercept[IllegalArgumentException](PostingsCodec.decode(out.toByteArray))
   }
 
+  test("decode rejects a length whose varint decodes negative") {
+    val out = new java.io.ByteArrayOutputStream()
+    PostingsCodec.writeVarLong(out, 1L) // count
+    PostingsCodec.writeVarLong(out, 0L) // blobId delta
+    PostingsCodec.writeVarLong(out, 0L) // offset
+    out.write(Array.fill(9)(0xff.toByte) :+ 0x01.toByte) // 10-byte varint of -1
+    val e = intercept[IllegalArgumentException](PostingsCodec.decode(out.toByteArray))
+    assert(e.getMessage.contains("length -1"))
+  }
+
   test("posting rejects negative fields") {
     intercept[IllegalArgumentException](Posting(-1, 0, 0))
     intercept[IllegalArgumentException](Posting(0, -1, 0))
@@ -138,7 +148,7 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     }
   }
 
-  test("intersectSorted gallops over skewed sizes: 1 vs 100 000 keys") {
+  test("intersectSorted over skewed sizes: 1 vs 100 000 keys") {
     val big = Postings.from(Vector.tabulate(100000)(i => Posting(i % 7, i.toLong * 3, 2)).sorted)
     Seq(0, 50004, 99999).map(big).foreach { p =>
       assert(Posting.intersectSorted(Seq(Vector(p), big)) == Vector(p))

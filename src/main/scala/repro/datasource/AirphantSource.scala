@@ -13,7 +13,7 @@ import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.unsafe.types.UTF8String
 
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{Posting, Searcher}
+import repro.core.{Postings, Searcher}
 import repro.corpus.Parsers
 
 import scala.jdk.CollectionConverters._
@@ -114,32 +114,40 @@ private[datasource] class AirphantScan(bucket: String, header: String,
   override def readSchema(): StructType = AirphantSource.schema
   override def toBatch: Batch = this
 
-  override def planInputPartitions(): Array[InputPartition] = keywords match {
-    case Some(kws) =>
-      // Driver-side: ONE concurrent superpost batch for all keywords.
-      val store = CloudStorage.named(bucket)
-      val searcher = new Searcher(store, header)
-      val perWord = searcher.lookupBatch(kws.distinct, new FetchLedger)
-      val docBlobs = searcher.mht.docBlobs
-      perWord.toSeq.sortBy(_._1).flatMap { case (w, postings) =>
-        postings.grouped(sliceDocs).map { chunk =>
-          KeywordPartition(bucket, w, docBlobs, chunk.toArray): InputPartition
-        }
-      }.toArray
-    case None =>
-      // Full corpus scan: one partition per document blob.
-      val store = CloudStorage.named(bucket)
-      val searcher = new Searcher(store, header)
-      searcher.mht.docBlobs.map(b => FullScanPartition(bucket, b): InputPartition).toArray
+  // Spark may plan one Scan more than once (a copied BatchScanExec asks
+  // again), so the header and superposts are fetched once per Scan.
+  private lazy val partitions: Array[InputPartition] = {
+    val searcher = new Searcher(CloudStorage.named(bucket), header)
+    val docBlobs = searcher.mht.docBlobs
+    keywords match {
+      case Some(kws) =>
+        // Driver-side: ONE concurrent superpost batch for all keywords.
+        val perWord = searcher.lookupBatch(kws.distinct, new FetchLedger)
+        perWord.toSeq.sortBy(_._1).flatMap { case (w, postings) =>
+          (0 until postings.size by sliceDocs).map { from =>
+            val until = math.min(from + sliceDocs, postings.size)
+            KeywordPartition(bucket, w, docBlobs,
+              util.Arrays.copyOfRange(postings.keys, from, until),
+              util.Arrays.copyOfRange(postings.lengths, from, until)): InputPartition
+          }
+        }.toArray
+      case None =>
+        // Full corpus scan: one partition per document blob.
+        docBlobs.map(b => FullScanPartition(bucket, b): InputPartition).toArray
+    }
   }
+
+  override def planInputPartitions(): Array[InputPartition] = partitions
 
   override def createReaderFactory(): PartitionReaderFactory = new AirphantReaderFactory()
 }
 
-/** Candidate document ranges for one keyword (post-intersection). */
+/** Candidate document ranges for one keyword (post-intersection), shipped
+  * as the packed arrays of a [[Postings]] slice.
+  */
 private[datasource] final case class KeywordPartition(
     bucket: String, word: String, docBlobs: Array[String],
-    postings: Array[Posting]) extends InputPartition
+    keys: Array[Long], lengths: Array[Int]) extends InputPartition
 
 /** One whole corpus blob for the index-less fallback scan. */
 private[datasource] final case class FullScanPartition(bucket: String, blob: String)
@@ -161,7 +169,7 @@ private[datasource] class KeywordReader(p: KeywordPartition)
 
   private val rows: Iterator[InternalRow] = {
     val store = CloudStorage.named(p.bucket)
-    val reqs = p.postings.toIndexedSeq.map(po => RangeReq(p.docBlobs(po.blobId), po.offset, po.length))
+    val reqs = new Postings(p.keys, p.lengths).map(po => RangeReq(p.docBlobs(po.blobId), po.offset, po.length))
     val bytes = store.getRangesParallel(reqs, new FetchLedger)
     reqs.iterator.zip(bytes).map { case (req, b) => (req, new String(b, StandardCharsets.UTF_8)) }
       .collect { case (req, text) if Parsers.containsWord(text, p.word) => AirphantRows.row(p.word, req, text) }

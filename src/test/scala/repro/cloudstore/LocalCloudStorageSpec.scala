@@ -135,10 +135,57 @@ class LocalCloudStorageSpec extends AnyFunSuite with GenChecks {
     val s = fresh()
     val data = (0 until 10000).map(_.toByte).toArray
     s.put("big", data)
-    val reqs = (0 until 500).map(i => RangeReq("big", i.toLong * 20, 20))
-    val out = s.getRangesParallel(reqs, new FetchLedger)
-    reqs.zip(out).foreach { case (r, b) =>
-      assert(b.toSeq == data.slice(r.offset.toInt, r.offset.toInt + r.length).toSeq)
+    // 8 callers at once, each issuing batches of its own ranges.
+    val errors = new java.util.concurrent.ConcurrentLinkedQueue[Throwable]
+    val callers = (0 until 8).map { c =>
+      val t = new Thread(() => for (round <- 0 until 5) {
+        val reqs = (0 until 500).map(i => RangeReq("big", ((i * 7 + c * 31 + round) % 499).toLong * 20, 20))
+        val out = s.getRangesParallel(reqs, new FetchLedger)
+        reqs.zip(out).foreach { case (r, b) =>
+          assert(b.toSeq == data.slice(r.offset.toInt, r.offset.toInt + r.length).toSeq)
+        }
+      })
+      t.setUncaughtExceptionHandler((_, e) => errors.add(e))
+      t.start(); t
+    }
+    callers.foreach(_.join())
+    assert(errors.isEmpty, errors.toString)
+  }
+
+  test("a large batch keeps request order on few and on many download threads") {
+    val data = (0 until 4000).map(i => (i * 31).toByte).toArray
+    val offsets = new scala.util.Random(5).shuffle((0 until 1000).toVector).map(_.toLong * 4)
+    for (threads <- Seq(2, 32)) {
+      val s = new LocalCloudStorage(NetworkModel(), downloadThreads = threads)
+      s.put("blob", data)
+      val out = s.getRangesParallel(offsets.map(o => RangeReq("blob", o, 4)), new FetchLedger)
+      assert(out.map(_.toSeq) == offsets.map(o => data.slice(o.toInt, o.toInt + 4).toSeq), s"threads = $threads")
+    }
+  }
+
+  test("an out-of-bounds range fails its whole batch, and the next batch still reads") {
+    val s = new LocalCloudStorage(NetworkModel(), downloadThreads = 4)
+    val data = (0 until 1000).map(_.toByte).toArray
+    s.put("blob", data)
+    val good = (0 until 100).map(i => RangeReq("blob", i * 10L, 10))
+    val e = intercept[IllegalArgumentException](
+      s.getRangesParallel(good.updated(57, RangeReq("blob", 995, 10)), new FetchLedger))
+    assert(e.getMessage.contains("range out of bounds"))
+    val out = s.getRangesParallel(good, new FetchLedger)
+    good.zip(out).foreach { case (r, b) => assert(b.toSeq == data.slice(r.offset.toInt, r.offset.toInt + 10).toSeq) }
+  }
+
+  test("offsets past Int.MaxValue and negative lengths never wrap to a valid slice") {
+    val s = fresh()
+    s.put("blob", new Array[Byte](16))
+    val bad = Seq(RangeReq("blob", 1L << 31, 4), RangeReq("blob", 1L << 32, 4),
+                  RangeReq("blob", Long.MaxValue, 1), RangeReq("blob", 8, -2))
+    bad.foreach { r =>
+      val single = intercept[IllegalArgumentException](s.getRange(r, new FetchLedger))
+      assert(single.getMessage.contains("range out of bounds"), r)
+      val batch = intercept[IllegalArgumentException](
+        s.getRangesParallel(Seq(RangeReq("blob", 0, 4), r), new FetchLedger))
+      assert(batch.getMessage.contains("range out of bounds"), r)
     }
   }
 

@@ -5,6 +5,7 @@ import org.apache.spark.sql.execution.datasources.v2.BatchScanExec
 import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
+import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
 import repro.core.{Builder, IoUConfig}
 import repro.corpus.CorpusGen
 import repro.exp.{BuiltCorpus, Corpora}
@@ -127,5 +128,36 @@ class AirphantSourceSpec extends SparkSpec {
       .foreach { case (blob, off, len) =>
         assert(off >= 0 && off + len <= corpus.store.size(blob))
       }
+  }
+
+  test("a keyword query fetches the header once") {
+    val headerGets = new java.util.concurrent.atomic.AtomicInteger
+    val inner = corpus.store
+    val counting = new CloudStorage {
+      def put(name: String, bytes: Array[Byte]): Unit = inner.put(name, bytes)
+      def size(name: String): Long = inner.size(name)
+      def list(): Seq[String] = inner.list()
+      def get(name: String, ledger: FetchLedger): Array[Byte] = {
+        if (name == built.headerBlob) headerGets.incrementAndGet()
+        inner.get(name, ledger)
+      }
+      def getRange(req: RangeReq, ledger: FetchLedger): Array[Byte] = inner.getRange(req, ledger)
+      def getRangesParallel(reqs: Seq[RangeReq], ledger: FetchLedger): Seq[Array[Byte]] =
+        inner.getRangesParallel(reqs, ledger)
+      def getRangesKofN(reqs: Seq[RangeReq], k: Int, ledger: FetchLedger): Seq[(Int, Array[Byte])] =
+        inner.getRangesKofN(reqs, k, ledger)
+      def getNoCost(name: String): Array[Byte] = inner.getNoCost(name)
+    }
+    CloudStorage.register("ds-counting-bucket", counting)
+    try {
+      val w = corpus.vocab(4)
+      val rows = spark.read.format("airphant")
+        .option("bucket", "ds-counting-bucket")
+        .option("header", built.headerBlob)
+        .load()
+        .filter(col("word") === w).select("doc_id").collect()
+      assert(rows.nonEmpty)
+      assert(headerGets.get == 1)
+    } finally CloudStorage.unregister("ds-counting-bucket")
   }
 }

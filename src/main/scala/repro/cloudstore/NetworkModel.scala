@@ -81,7 +81,7 @@ final case class NetworkModel(
 
   /** First-byte latency for one request identified by `requestKey`. */
   def waitMs(requestKey: String): Double = {
-    val base = baseLatencyMs * region.latencyMultiplier
+    val base = baseWaitMs
     if (tailProbability <= 0) base
     else {
       val h = MurmurHash3.stringHash(requestKey, jitterSeed)
@@ -90,6 +90,7 @@ final case class NetworkModel(
     }
   }
 
+  private def baseWaitMs: Double = baseLatencyMs * region.latencyMultiplier
   private def streamBpms: Double = streamBandwidthBpms * region.bandwidthFactor
   private def aggregateBpms: Double = streamBpms * aggregateStreams
 
@@ -97,12 +98,15 @@ final case class NetworkModel(
   def single(requestKey: String, bytes: Long): Cost =
     Cost(waitMs(requestKey), bytes.toDouble / streamBpms, bytes)
 
-  /** Cost of one *batch* of concurrent requests issued together.
+  /** Cost of one *batch* of concurrent `requests` issued together, of which
+    * the caller waits for the `need` with the smallest first-byte latency.
+    * A plain batch needs all of them; IoU Sketch's built-in replication
+    * (§IV-G) issues L+ requests and needs any L.
     *
-    * The batch drains through the `concurrency`-thread pool in
-    * ceil(n/concurrency) waves. Total elapsed time is the per-wave
-    * first-byte latencies summed plus the bandwidth term
-    * (max(slowest single stream, aggregate-bandwidth bound) — many
+    * The winners drain through the `concurrency`-thread pool in
+    * ceil(need/concurrency) waves. Total elapsed time is the per-wave
+    * first-byte latencies summed plus the bandwidth term over the winners'
+    * bytes (max(slowest single stream, aggregate-bandwidth bound) — many
     * medium requests contend for the NIC like the paper's Fig. 10c).
     *
     * Classification follows the paper's tcpdump rule (§V-B0c): only the
@@ -110,33 +114,43 @@ final case class NetworkModel(
     * flight the aggregate link stays busy, so later waves' latencies are
     * accounted as download time. This is exactly why the paper sees
     * HashTable as download-heavy rather than wait-heavy.
+    *
+    * Each request's wait is computed once; its key is read only when
+    * `tailProbability > 0`, the one case where jitter hashes it.
+    *
+    * @return the cost, and the winners' request indices in completion order
+    *         (ascending first-byte latency, ties in request order)
     */
-  def batch(requests: Seq[(String, Long)]): Cost = {
-    if (requests.isEmpty) return Cost.zero
-    val waits = requests.map { case (k, _) => waitMs(k) }
-    val waveWaits = waits.sorted(Ordering[Double].reverse)
-      .grouped(concurrency).map(_.head).toSeq
-    val totalBytes = requests.map(_._2).sum
-    val slowestStream = requests.map(_._2.toDouble / streamBpms).max
+  def batch(requests: IndexedSeq[RangeReq], need: Int): (Cost, IndexedSeq[Int]) = {
+    val n = requests.size
+    require(if (n == 0) need == 0 else need >= 1 && need <= n, s"need 1 <= need=$need <= $n")
+    if (n == 0) return (Cost.zero, IndexedSeq.empty)
+    // At tail 0 every wait is the base latency, so the first `need` win.
+    val (winners, waitOf): (IndexedSeq[Int], Int => Double) =
+      if (tailProbability <= 0) (0 until need, _ => baseWaitMs)
+      else {
+        val waitAt = requests.map(r => waitMs(r.key))
+        ((0 until n).sortBy(waitAt).take(need), waitAt)
+      }
+    val waits = new Array[Double](need)
+    var totalBytes = 0L
+    var longest = 0
+    var j = 0
+    while (j < need) {
+      val i = winners(j)
+      waits(j) = waitOf(i)
+      totalBytes += requests(i).length
+      longest = math.max(longest, requests(i).length)
+      j += 1
+    }
+    // The wave heads, slowest first, are the sorted waits at need-1,
+    // need-1-concurrency, ...; the first is the batch's wait.
+    java.util.Arrays.sort(waits)
+    var laterWaves = 0.0
+    j = need - 1 - concurrency
+    while (j >= 0) { laterWaves += waits(j); j -= concurrency }
+    val slowestStream = longest.toDouble / streamBpms
     val contended = totalBytes.toDouble / aggregateBpms
-    Cost(waveWaits.head,
-         waveWaits.tail.sum + math.max(slowestStream, contended),
-         totalBytes)
-  }
-
-  /** Cost of a batch of `requests` where the caller only needs the fastest
-    * `k` responses (IoU Sketch's built-in replication, §IV-G: issue L+
-    * requests, wait for any L). Wait time is the k-th smallest first-byte
-    * latency; download counts only the k winners' bytes. (Replication
-    * batches are small — at most L+ requests — so a single wave.)
-    */
-  def batchKofN(requests: Seq[(String, Long)], k: Int): Cost = {
-    require(k >= 1 && k <= requests.size, s"need 1 <= k=$k <= ${requests.size}")
-    val byWait = requests.map { case (key, b) => (waitMs(key), b) }.sortBy(_._1)
-    val winners = byWait.take(k)
-    val totalBytes = winners.map(_._2).sum
-    val slowestStream = winners.map(_._2.toDouble / streamBpms).max
-    val contended = totalBytes.toDouble / aggregateBpms
-    Cost(winners.last._1, math.max(slowestStream, contended), totalBytes)
+    (Cost(waits(need - 1), laterWaves + math.max(slowestStream, contended), totalBytes), winners)
   }
 }

@@ -6,6 +6,7 @@ import org.apache.spark.TaskContext
 import org.apache.spark.sql.{Column, DataFrame, Encoder, Encoders, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.cloudstore.CloudStorage
+import repro.corpus.Parsers
 
 /** The one compaction scheme every term index is built with (§IV-C):
   * documents are tokenized into (word, posting) rows, postings are grouped
@@ -24,8 +25,8 @@ object BlockCompactor {
     *
     * Returns the sorted document-blob string table (blob names compressed to
     * int ids, §IV-C) and a frame of (blobId, offset, length, word) with one
-    * row per distinct word of each document. Words are the whitespace runs
-    * of [[repro.corpus.Parsers.words]], so the exact filter sees the same
+    * row per distinct word of each document. Words are [[Parsers.tokens]],
+    * the column form of [[Parsers.words]], so the exact filter sees the same
     * tokens the index was built from.
     */
   def tokenize(spark: SparkSession, docs: DataFrame): (Array[String], DataFrame) = {
@@ -33,10 +34,8 @@ object BlockCompactor {
     val docBlobs = docs.select($"blob").distinct().as[String].collect().sorted
     val bcBlobIdx = spark.sparkContext.broadcast(docBlobs.zipWithIndex.toMap)
     val blobId = udf((b: String) => bcBlobIdx.value(b))
-    val words = docs
-      .select(blobId($"blob") as "blobId", $"offset", $"length",
-              explode(array_distinct(split($"text", "\\s+"))) as "word")
-      .filter(length($"word") > 0)
+    val words = docs.select(blobId($"blob") as "blobId", $"offset", $"length",
+                            explode(array_distinct(Parsers.tokens($"text"))) as "word")
     (docBlobs, words)
   }
 

@@ -72,7 +72,7 @@ object IoUSketch {
   def fromPostings(layers: Int, binsPerLayer: Int, seeds: Array[Int],
                    postings: Iterable[(String, Array[Long])]): IoUSketch = {
     val s = new IoUSketch(layers, binsPerLayer, seeds)
-    postings.foreach { case (w, docs) => s.insert(w, docs.toSeq) }
+    postings.foreach { case (w, docs) => s.insert(w, docs) }
     s
   }
 }

@@ -110,10 +110,7 @@ object LogCorpusGen {
       paramCardinality: Int, // distinct parameter values across the corpus
       paramsPerDoc: Int,     // parameter words per document (uniform draws)
       seed: Long,
-  ) {
-    /** Approximate corpus vocabulary (upper bound before coupon-collector loss). */
-    def vocabUpperBound: Int = staticVocab + paramCardinality
-  }
+  )
 
   /** Cranfield-like: 1398 abstract-style documents, vocab ≈ 5.3k, ~86
     * words/doc (paper Table II: n=1.4e3, |W|=5.3e3, 1.2e5 total words).

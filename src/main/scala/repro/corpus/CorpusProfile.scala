@@ -58,9 +58,7 @@ object CorpusProfile {
     */
   def profile(spark: SparkSession, docs: DataFrame, maxTopWords: Int = 2000): CorpusProfile = {
     import spark.implicits._
-    val words = docs
-      .select($"doc_id", explode(split($"text", "\\s+")) as "word")
-      .filter(length($"word") > 0)
+    val words = docs.select($"doc_id", explode(Parsers.tokens($"text")) as "word")
     words.cache()
     try {
       val nWords = words.count()

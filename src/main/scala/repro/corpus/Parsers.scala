@@ -1,5 +1,8 @@
 package repro.corpus
 
+import org.apache.spark.sql.Column
+import org.apache.spark.sql.functions.{array_remove, split}
+
 /** Corpus→document and document→word parsers (§III-C: both are
   * user-selectable; these are the defaults the evaluation uses).
   *
@@ -13,6 +16,12 @@ object Parsers {
   /** Extract the distinct searchable words of one document. */
   def words(text: String): Array[String] =
     text.split("\\s+").filter(_.nonEmpty)
+
+  /** [[words]] as a Spark column: the `\s+` split of `text` without empty
+    * tokens, one per occurrence. Callers `explode` it, or explode its
+    * `array_distinct` for a document's distinct words.
+    */
+  def tokens(text: Column): Column = array_remove(split(text, "\\s+"), "")
 
   /** Distinct words of one document (the |W_i| set of §IV-A). */
   def distinctWords(text: String): Set[String] = words(text).toSet

@@ -1,6 +1,5 @@
 package repro.datasource
 
-import java.nio.charset.StandardCharsets
 import java.util
 
 import org.apache.spark.sql.catalyst.InternalRow
@@ -12,9 +11,9 @@ import org.apache.spark.sql.types._
 import org.apache.spark.sql.util.CaseInsensitiveStringMap
 import org.apache.spark.unsafe.types.UTF8String
 
-import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{Postings, Searcher}
-import repro.corpus.Parsers
+import repro.cloudstore.{CloudStorage, FetchLedger}
+import repro.core.{DocFetcher, Postings, Searcher}
+import repro.corpus.{DocRef, Parsers}
 
 import scala.jdk.CollectionConverters._
 
@@ -161,54 +160,40 @@ private[datasource] class AirphantReaderFactory extends PartitionReaderFactory {
     }
 }
 
-/** Fetches its slice of candidate documents in one concurrent batch and
-  * emits only exact matches (false positives die here).
+/** Emits a partition's rows; the two readers below differ only in how
+  * they produce them.
   */
-private[datasource] class KeywordReader(p: KeywordPartition)
-    extends PartitionReader[InternalRow] {
-
-  private val rows: Iterator[InternalRow] = {
-    val store = CloudStorage.named(p.bucket)
-    val reqs = new Postings(p.keys, p.lengths).map(po => RangeReq(p.docBlobs(po.blobId), po.offset, po.length))
-    val bytes = store.getRangesParallel(reqs, new FetchLedger)
-    reqs.iterator.zip(bytes).map { case (req, b) => (req, new String(b, StandardCharsets.UTF_8)) }
-      .collect { case (req, text) if Parsers.containsWord(text, p.word) => AirphantRows.row(p.word, req, text) }
-  }
-
+private[datasource] class RowReader(rows: Iterator[InternalRow]) extends PartitionReader[InternalRow] {
   private var current: InternalRow = _
   override def next(): Boolean = { if (rows.hasNext) { current = rows.next(); true } else false }
   override def get(): InternalRow = current
   override def close(): Unit = ()
 }
+
+/** Fetches its slice of candidate documents in one concurrent batch and
+  * emits only exact matches (false positives die here), through the same
+  * [[DocFetcher.fetchAndFilter]] the Searcher uses.
+  */
+private[datasource] class KeywordReader(p: KeywordPartition) extends RowReader(
+  DocFetcher.fetchAndFilter(CloudStorage.named(p.bucket), p.docBlobs, new Postings(p.keys, p.lengths),
+                            DocFetcher.wordPredicate(p.word), new FetchLedger)
+    .docs.iterator.map(d => AirphantRows.row(p.word, d.ref, d.text)))
 
 /** Reads one corpus blob fully, splits documents, explodes words. */
-private[datasource] class FullScanReader(p: FullScanPartition)
-    extends PartitionReader[InternalRow] {
-
-  private val rows: Iterator[InternalRow] = {
-    val store = CloudStorage.named(p.bucket)
-    val bytes = store.get(p.blob, new FetchLedger)
-    Parsers.splitBlob(bytes).iterator.flatMap { case (off, len, text) =>
-      Parsers.distinctWords(text).toSeq.sorted.iterator.map { w =>
-        AirphantRows.row(w, RangeReq(p.blob, off, len), text)
-      }
-    }
-  }
-
-  private var current: InternalRow = _
-  override def next(): Boolean = { if (rows.hasNext) { current = rows.next(); true } else false }
-  override def get(): InternalRow = current
-  override def close(): Unit = ()
-}
+private[datasource] class FullScanReader(p: FullScanPartition) extends RowReader(
+  Parsers.splitBlob(CloudStorage.named(p.bucket).get(p.blob, new FetchLedger)).iterator.flatMap {
+    case (off, len, text) =>
+      Parsers.distinctWords(text).toSeq.sorted.iterator.map(w => AirphantRows.row(w, DocRef(p.blob, off, len), text))
+  })
 
 private[datasource] object AirphantRows {
-  def row(word: String, req: RangeReq, text: String): InternalRow =
+  def row(word: String, ref: DocRef, text: String): InternalRow =
     InternalRow(
       UTF8String.fromString(word),
-      UTF8String.fromString(s"${req.blob}:${req.offset}"),
-      UTF8String.fromString(req.blob),
-      req.offset,
-      req.length,
+      UTF8String.fromString(ref.docId),
+      UTF8String.fromString(ref.blob),
+      ref.offset,
+      ref.length,
       UTF8String.fromString(text),
     )
 }

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.core.{IoUConfig, IoUMath, IoUSketch}
-import repro.corpus.CorpusProfile
+import repro.corpus.{CorpusProfile, Parsers}
 
 /** In-memory accuracy simulation for the (B, L) sweeps (paper Figures 5,
   * 10a, 16a): build a pure IoU Sketch (no storage, no common-word bins —
@@ -18,8 +18,7 @@ object AccuracySim {
   def wordDocs(spark: SparkSession, docs: DataFrame): Map[String, Array[Long]] = {
     import spark.implicits._
     docs
-      .select($"doc_id", explode(array_distinct(split($"text", "\\s+"))) as "word")
-      .filter(length($"word") > 0)
+      .select($"doc_id", explode(array_distinct(Parsers.tokens($"text"))) as "word")
       .groupBy($"word")
       .agg(collect_list($"doc_id") as "docs")
       .as[(String, Seq[Long])]
@@ -32,12 +31,8 @@ object AccuracySim {
     * across layers (the paper assumes B divisible by L).
     */
   def buildSketch(postings: Map[String, Array[Long]], b: Int, l: Int,
-                  config: IoUConfig = IoUConfig()): IoUSketch = {
-    val binsPerLayer = math.max(1, b / l)
-    val sketch = new IoUSketch(l, binsPerLayer, config.seeds(l))
-    postings.foreach { case (w, ds) => sketch.insert(w, ds) }
-    sketch
-  }
+                  config: IoUConfig = IoUConfig()): IoUSketch =
+    IoUSketch.fromPostings(l, math.max(1, b / l), config.seeds(l), postings)
 
   /** Observed average false positives per query over `queryWords`. */
   def observedFp(sketch: IoUSketch, postings: Map[String, Array[Long]],

@@ -4,7 +4,7 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 
 import repro.cloudstore.{CloudStorage, LocalCloudStorage, NetworkModel}
-import repro.corpus.{CorpusGen, CorpusProfile, CorpusWriter, LogCorpusGen}
+import repro.corpus.{CorpusGen, CorpusProfile, CorpusWriter, LogCorpusGen, Parsers}
 
 /** A corpus materialised on (simulated) cloud storage, ready to index.
   *
@@ -41,10 +41,7 @@ object Corpora {
     CloudStorage.register(bucket, store)
     val docs = CorpusWriter.write(spark, raw, bucket, name, numBlobs)
     val profile = CorpusProfile.profile(spark, docs, maxTopWords)
-    val vocab = docs
-      .select(explode(split($"text", "\\s+")) as "word")
-      .filter(length($"word") > 0)
-      .distinct().as[String].collect().sorted
+    val vocab = docs.select(explode(Parsers.tokens($"text"))).distinct().as[String].collect().sorted
     BuiltCorpus(name, bucket, store, docs, profile, vocab)
   }
 

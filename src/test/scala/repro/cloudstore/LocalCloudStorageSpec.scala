@@ -3,6 +3,7 @@ package repro.cloudstore
 import org.scalatest.funsuite.AnyFunSuite
 import org.scalactic.Tolerance._
 import org.scalacheck.Gen
+import scala.jdk.CollectionConverters._
 
 import repro.GenChecks
 
@@ -131,7 +132,7 @@ class LocalCloudStorageSpec extends AnyFunSuite with GenChecks {
     assert(l2.stats.waitMs === 7.5 * l1.stats.waitMs +- 1e-6)
   }
 
-  test("concurrent readers through the shared pool all see correct bytes") {
+  test("concurrent callers on one store all see correct bytes") {
     val s = fresh()
     val data = (0 until 10000).map(_.toByte).toArray
     s.put("big", data)
@@ -152,19 +153,17 @@ class LocalCloudStorageSpec extends AnyFunSuite with GenChecks {
     assert(errors.isEmpty, errors.toString)
   }
 
-  test("a large batch keeps request order on few and on many download threads") {
+  test("a 1000-range shuffled batch keeps request order") {
     val data = (0 until 4000).map(i => (i * 31).toByte).toArray
     val offsets = new scala.util.Random(5).shuffle((0 until 1000).toVector).map(_.toLong * 4)
-    for (threads <- Seq(2, 32)) {
-      val s = new LocalCloudStorage(NetworkModel(), downloadThreads = threads)
-      s.put("blob", data)
-      val out = s.getRangesParallel(offsets.map(o => RangeReq("blob", o, 4)), new FetchLedger)
-      assert(out.map(_.toSeq) == offsets.map(o => data.slice(o.toInt, o.toInt + 4).toSeq), s"threads = $threads")
-    }
+    val s = fresh()
+    s.put("blob", data)
+    val out = s.getRangesParallel(offsets.map(o => RangeReq("blob", o, 4)), new FetchLedger)
+    assert(out.map(_.toSeq) == offsets.map(o => data.slice(o.toInt, o.toInt + 4).toSeq))
   }
 
-  test("an out-of-bounds range fails its whole batch, and the next batch still reads") {
-    val s = new LocalCloudStorage(NetworkModel(), downloadThreads = 4)
+  test("a bad range fails its batch; the next batch still reads") {
+    val s = fresh()
     val data = (0 until 1000).map(_.toByte).toArray
     s.put("blob", data)
     val good = (0 until 100).map(i => RangeReq("blob", i * 10L, 10))
@@ -173,6 +172,15 @@ class LocalCloudStorageSpec extends AnyFunSuite with GenChecks {
     assert(e.getMessage.contains("range out of bounds"))
     val out = s.getRangesParallel(good, new FetchLedger)
     good.zip(out).foreach { case (r, b) => assert(b.toSeq == data.slice(r.offset.toInt, r.offset.toInt + 10).toSeq) }
+  }
+
+  test("a batch starts no thread") {
+    val s = fresh()
+    s.put("blob", new Array[Byte](1000))
+    val out = s.getRangesParallel((0 until 100).map(i => RangeReq("blob", i * 10L, 10)), new FetchLedger)
+    assert(out.size == 100)
+    val download = Thread.getAllStackTraces.keySet.asScala.filter(t => t.isAlive && t.getName.startsWith("cloud-download-"))
+    assert(download.isEmpty, download.map(_.getName))
   }
 
   test("offsets past Int.MaxValue and negative lengths never wrap to a valid slice") {

@@ -51,25 +51,33 @@ class NetworkModelSpec extends AnyFunSuite with GenChecks {
     assert(sing.downloadMs > iowa.downloadMs)
   }
 
+  /** `n` ranges of `bytes` each, keyed by their blob names `<prefix>1..n`. */
+  private def ranges(n: Int, bytes: Int, prefix: String = "k"): IndexedSeq[RangeReq] =
+    (1 to n).map(i => RangeReq(s"$prefix$i", 0L, bytes))
+
+  /** Cost of a plain batch: the caller needs every range. */
+  private def all(model: NetworkModel, reqs: IndexedSeq[RangeReq]): Cost = model.batch(reqs, reqs.size)._1
+
   test("batch of one equals single request") {
-    val b = m.batch(Seq(("k", 1000L)))
-    val s = m.single("k", 1000L)
+    val r = RangeReq("k", 0L, 1000)
+    val b = all(m, Vector(r))
+    val s = m.single(r.key, 1000L)
     assert(b.waitMs === s.waitMs +- 1e-9)
     assert(b.downloadMs === s.downloadMs +- 1e-9)
   }
 
   test("a parallel batch within one wave pays the base latency once") {
-    val reqs = (1 to 16).map(i => (s"k$i", 1000L))
-    val batch = m.batch(reqs)
+    val reqs = ranges(16, 1000)
+    val batch = all(m, reqs)
     assert(batch.waitMs === 50.0 +- 1e-9)
-    val sequential = reqs.map { case (k, b) => m.single(k, b) }.reduce(_ + _)
+    val sequential = reqs.map(r => m.single(r.key, r.length.toLong)).reduce(_ + _)
     assert(sequential.waitMs === 800.0 +- 1e-9)
     assert(batch.totalMs < sequential.totalMs / 10)
   }
 
   test("batch waves: n requests over 32 threads pay ceil(n/32) base latencies") {
     val n = 100
-    val batch = m.batch((1 to n).map(i => (s"k$i", 10L)))
+    val batch = all(m, ranges(n, 10))
     val waves = math.ceil(n / 32.0)
     // total elapsed includes every wave's latency...
     assert(batch.totalMs === 50.0 * waves +- 1.0)
@@ -81,44 +89,44 @@ class NetworkModelSpec extends AnyFunSuite with GenChecks {
   test("batch download is bounded below by aggregate bandwidth contention") {
     // 32 requests of 1 MB: aggregate bound = 32MB / 160MB/s = 200ms,
     // single-stream bound = 1MB / 40MB/s = 25ms.
-    val batch = m.batch((1 to 32).map(i => (s"k$i", 1_000_000L)))
+    val batch = all(m, ranges(32, 1_000_000))
     assert(batch.downloadMs === 200.0 +- 1.0)
   }
 
   test("batch download falls back to slowest stream when not contended") {
-    val batch = m.batch(Seq(("a", 4_000_000L), ("b", 10L)))
+    val batch = all(m, Vector(RangeReq("a", 0L, 4_000_000), RangeReq("b", 0L, 10)))
     // slowest stream: 4MB/40MBps = 100ms > contended 4MB/160MBps = 25ms
     assert(batch.downloadMs === 100.0 +- 1.0)
   }
 
   test("empty batch costs nothing") {
-    assert(m.batch(Nil) == Cost.zero)
+    assert(m.batch(Vector.empty, 0) == ((Cost.zero, IndexedSeq.empty)))
   }
 
   test("batch bytes equal the sum of request bytes") {
-    forAllG(Gen.listOfN(10, Gen.choose(0L, 10_000L))) { sizes =>
-      val c = m.batch(sizes.zipWithIndex.map { case (s, i) => (s"k$i", s) })
-      assert(c.bytes == sizes.sum)
+    forAllG(Gen.listOfN(10, Gen.choose(0, 10_000))) { sizes =>
+      val c = all(m, sizes.toIndexedSeq.zipWithIndex.map { case (s, i) => RangeReq(s"k$i", 0L, s) })
+      assert(c.bytes == sizes.map(_.toLong).sum)
     }
   }
 
   test("k-of-n wait is the k-th smallest, at most the full batch wait") {
     val tail = m.copy(tailProbability = 0.3, tailMultiplier = 10.0)
-    val reqs = (1 to 8).map(i => (s"key$i", 100L))
-    val full = tail.batch(reqs)
-    val kofn = tail.batchKofN(reqs, 5)
+    val reqs = ranges(8, 100, "key")
+    val full = all(tail, reqs)
+    val kofn = tail.batch(reqs, 5)._1
     assert(kofn.waitMs <= full.waitMs)
     assert(kofn.bytes <= full.bytes)
   }
 
   test("k-of-n with k = n equals the single-wave batch wait") {
-    val reqs = (1 to 4).map(i => (s"key$i", 100L))
-    assert(m.batchKofN(reqs, 4).waitMs === m.batch(reqs).waitMs +- 1e-9)
+    val reqs = ranges(4, 100, "key")
+    assert(m.batch(reqs, 4)._1.waitMs === all(m, reqs).waitMs +- 1e-9)
   }
 
   test("k-of-n rejects invalid k") {
-    intercept[IllegalArgumentException](m.batchKofN(Seq(("a", 1L)), 2))
-    intercept[IllegalArgumentException](m.batchKofN(Seq(("a", 1L)), 0))
+    intercept[IllegalArgumentException](m.batch(ranges(1, 1, "a"), 2))
+    intercept[IllegalArgumentException](m.batch(ranges(1, 1, "a"), 0))
   }
 
   test("replication shields against the long tail (paper §IV-G)") {
@@ -126,13 +134,26 @@ class NetworkModelSpec extends AnyFunSuite with GenChecks {
     // waiting for 2-of-2 in expectation over request keys.
     val tail = m.copy(tailProbability = 0.2, tailMultiplier = 20.0)
     val trials = (0 until 200).map { t =>
-      val four = (1 to 4).map(i => (s"t$t-r$i", 100L))
+      val four = ranges(4, 100, s"t$t-r")
       val two = four.take(2)
-      (tail.batchKofN(four, 2).waitMs, tail.batch(two).waitMs)
+      (tail.batch(four, 2)._1.waitMs, all(tail, two).waitMs)
     }
     val meanRepl = trials.map(_._1).sum / trials.size
     val meanPlain = trials.map(_._2).sum / trials.size
     assert(meanRepl < meanPlain)
+  }
+
+  // Costs computed by the separate `batch` and `batchKofN` these replace,
+  // pinned exactly: one pricing function must not move any ledger.
+  test("pinned prices: 100 ranges at tail 0, 40 ranges at tail 0.3, 4-of-5 at tail 0.3") {
+    val plain = (0 until 100).map(i => RangeReq(s"ix/superposts-${i % 3}", i * 1000L, 500 + 37 * i))
+    assert(all(m, plain) == Cost(50.0, 151.4571875, 233150L))
+    val tail = m.copy(tailProbability = 0.3)
+    val docs = (0 until 40).map(i => RangeReq("corpus/docs-1", i * 4096L, 100 + (i * 7919) % 3000))
+    assert(all(tail, docs) == Cost(1000.0, 50.398875, 63820L))
+    // Layer 0 straggles, so the 4 winners are layers 1-4.
+    val layers = (0 until 5).map(l => RangeReq(s"ix/superposts-$l", 800 + l * 64L, 200 + 50 * l))
+    assert(tail.batch(layers, 4) == ((Cost(50.0, 0.01, 1300L), Seq(1, 2, 3, 4))))
   }
 
   test("jitter is deterministic per request key") {

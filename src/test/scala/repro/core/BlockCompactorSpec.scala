@@ -3,7 +3,7 @@ package repro.core
 import org.scalacheck.Gen
 
 import repro.{GenChecks, SparkSpec}
-import repro.corpus.Parsers
+import repro.corpus.{CorpusProfile, Parsers}
 
 class BlockCompactorSpec extends SparkSpec with GenChecks {
 
@@ -44,8 +44,8 @@ class BlockCompactorSpec extends SparkSpec with GenChecks {
   test("index tokenization and the exact filter's tokenizer give the same word sets") {
     import spark.implicits._
     forAllG(Gen.listOfN(60, text), trials = 5) { texts =>
-      val docs = texts.zipWithIndex.map { case (t, i) => (s"b${i % 3}", i.toLong, t.length, t) }
-        .toDF("blob", "offset", "length", "text")
+      val docs = texts.zipWithIndex.map { case (t, i) => (i.toLong, s"b${i % 3}", i.toLong, t.length, t) }
+        .toDF("doc_id", "blob", "offset", "length", "text")
       val (docBlobs, words) = BlockCompactor.tokenize(spark, docs)
       assert(docBlobs.toSeq == texts.indices.map(i => s"b${i % 3}").distinct.sorted)
       val got = words.select($"blobId", $"offset", $"word").as[(Int, Long, String)].collect()
@@ -55,6 +55,16 @@ class BlockCompactorSpec extends SparkSpec with GenChecks {
         val indexed = byDoc.getOrElse(i.toLong, Array.empty[String])
         assert(indexed.length == indexed.distinct.length, s"duplicate words in doc $i")
         assert(indexed.toSet == Parsers.words(t).toSet, s"doc $i: ${t.map(_.toInt.toHexString)}")
+      }
+      // The corpus profile, which sizes the sketch, counts the same tokens.
+      val tokens = texts.map(Parsers.words)
+      val hist = tokens.map(_.distinct.length).filter(_ > 0).groupBy(identity).view.mapValues(_.size.toLong).toMap
+      if (hist.isEmpty) intercept[IllegalArgumentException](CorpusProfile.profile(spark, docs))
+      else {
+        val p = CorpusProfile.profile(spark, docs)
+        assert(p.nWords == tokens.map(_.length.toLong).sum)
+        assert(p.nTerms == tokens.flatten.distinct.length.toLong)
+        assert(p.distinctHist == hist)
       }
     }
   }

@@ -3,7 +3,7 @@ package repro.baselines
 import java.io.ByteArrayOutputStream
 
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{BinPointer, DocFetcher, Posting, PostingsCodec, SearchResult}
+import repro.core.{BinPointer, Posting, Postings, PostingsCodec, SearchResult}
 
 /** SQLite-like baseline: a paged B-tree term index stored in a single
   * blob on cloud storage (§V-A0b: the paper uses SQLite "as a practical
@@ -49,15 +49,9 @@ final class BTreeIndex(
     }
 
     def serializeLeaf(es: Seq[(String, BinPointer)]): Array[Byte] = {
-      import PostingsCodec._
       val out = new ByteArrayOutputStream()
       out.write(0) // leaf marker
-      writeVarLong(out, es.size.toLong)
-      es.foreach { case (t, p) =>
-        writeString(out, t)
-        writeVarLong(out, p.block.toLong); writeVarLong(out, p.offset.toLong)
-        writeVarLong(out, p.length.toLong)
-      }
+      PostingsCodec.writeEntries(out, es)
       out.toByteArray
     }
 
@@ -105,20 +99,14 @@ final class BTreeIndex(
 
   private def parsePage(bytes: Array[Byte]): Page = {
     val r = new PostingsCodec.Reader(java.util.Arrays.copyOfRange(bytes, 1, bytes.length))
-    if (bytes(0) == 0)
-      Leaf(Vector.fill(r.readVarInt()) {
-        (r.readString(), BinPointer(r.readVarInt(), r.readVarInt(), r.readVarInt()))
-      })
+    if (bytes(0) == 0) Leaf(r.readEntries())
     else
       Internal(Vector.fill(r.readVarInt())((r.readString(), r.readVarInt())))
   }
 
   // ---- LRU page cache ----------------------------------------------------
 
-  private val cache = new java.util.LinkedHashMap[Int, Page](cachePages, 0.75f, true) {
-    override def removeEldestEntry(e: java.util.Map.Entry[Int, Page]): Boolean =
-      size() > cachePages
-  }
+  private val cache = ExactPostings.lru[Int, Page](cachePages)
 
   private def readPage(id: Int, ledger: FetchLedger): Page = {
     val hit = cache.get(id)
@@ -140,48 +128,22 @@ final class BTreeIndex(
     readPage(rootPageId, new FetchLedger)
   }
 
-  /** Last index with key <= word, or 0. */
-  private def floorIndex(keys: IndexedSeq[String], word: String): Int = {
-    if (word < keys(0)) return 0
-    var lo = 0; var hi = keys.size - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (keys(mid) <= word) lo = mid else hi = mid - 1
-    }
-    lo
-  }
-
   // ---- lookup ------------------------------------------------------------
 
-  override def lookup(word: String, ledger: FetchLedger): IndexedSeq[Posting] = {
-    var page = readPage(rootPageId, ledger)
-    var done = false
-    var result: IndexedSeq[Posting] = Vector.empty
-    while (!done) page match {
+  @annotation.tailrec
+  private def leafFor(word: String, page: Page, ledger: FetchLedger): Vector[(String, BinPointer)] =
+    page match {
       case Internal(es) =>
-        page = readPage(es(floorIndex(es.map(_._1), word))._2, ledger)
-      case Leaf(es) =>
-        done = true
-        es.find(_._1 == word).foreach { case (_, ptr) =>
-          val bytes = store.getRange(
-            RangeReq(built.blockBlobs(ptr.block), ptr.offset.toLong, ptr.length), ledger)
-          result = PostingsCodec.decode(bytes)
-        }
+        leafFor(word, readPage(es(ExactPostings.floor(es.map(_._1), word))._2, ledger), ledger)
+      case Leaf(es) => es
     }
-    result
-  }
 
-  override def search(word: String, topK: Option[Int]): SearchResult = {
-    val ledger = new FetchLedger
-    val candidates = lookup(word, ledger)
-    val keep = DocFetcher.wordPredicate(word)
-    val r = topK match {
-      case Some(k) => DocFetcher.fetchTopK(store, built.docBlobs, candidates, keep,
-                                           k, f0 = 0.0, delta = 1e-6, ledger = ledger)
-      case None    => DocFetcher.fetchAndFilter(store, built.docBlobs, candidates, keep, ledger)
-    }
-    SearchResult(r.docs, candidates.size, r.fetched, r.falsePositives, ledger.stats)
-  }
+  override def lookup(word: String, ledger: FetchLedger): IndexedSeq[Posting] =
+    leafFor(word, readPage(rootPageId, ledger), ledger).find(_._1 == word)
+      .fold[IndexedSeq[Posting]](Postings.empty)(e => built.read(store, e._2, ledger))
+
+  override def search(word: String, topK: Option[Int]): SearchResult =
+    built.search(store, word, topK)(lookup(word, _))
 
   override def indexBytes: Long = store.size(blobName) + built.bytesOf(store)
 }

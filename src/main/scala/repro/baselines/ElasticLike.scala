@@ -38,7 +38,7 @@ final class ElasticLike(
   /** Dependent chunk faults: each offset depends on metadata read in the
     * previous chunk, so they serialize (the paper's wait-heavy pattern).
     */
-  private def mountFaults(word: String, ledger: FetchLedger): Unit = {
+  private[baselines] def mountFaults(word: String, ledger: FetchLedger): Unit = {
     var h = MurmurHash3.stringHash(word, 7)
     (0 until chunkReads).foreach { i =>
       val off = math.floorMod(h, snapshotSize / chunkBytes).toLong * chunkBytes
@@ -52,13 +52,9 @@ final class ElasticLike(
     inner.lookup(word, ledger)
   }
 
-  override def search(word: String, topK: Option[Int]): SearchResult = {
-    val ledger = new FetchLedger
-    mountFaults(word, ledger)
-    val r = inner.search(word, topK)
-    // Combine the mount cost with the inner engine's own accounting.
-    SearchResult(r.docs, r.candidates, r.fetched, r.falsePositives, ledger.stats + r.stats)
-  }
+  /** The skip list's search, with the mount faults inside the lookup. */
+  override def search(word: String, topK: Option[Int]): SearchResult =
+    inner.built.search(store, word, topK)(lookup(word, _))
 
   override def indexBytes: Long = inner.indexBytes + store.size(snapshotBlob)
 }

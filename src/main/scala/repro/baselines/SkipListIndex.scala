@@ -3,7 +3,7 @@ package repro.baselines
 import java.io.ByteArrayOutputStream
 
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{BinPointer, DocFetcher, IoUMath, Posting, PostingsCodec, SearchResult}
+import repro.core.{BinPointer, Posting, Postings, PostingsCodec, SearchResult}
 
 /** Lucene-like baseline: a skip-list term index persisted on cloud
   * storage (§II-A: Lucene's term index is a skip list; §V-B0c attributes
@@ -19,7 +19,7 @@ import repro.core.{BinPointer, DocFetcher, IoUMath, Posting, PostingsCodec, Sear
   */
 final class SkipListIndex(
     store: CloudStorage,
-    built: ExactPostings.Built,
+    val built: ExactPostings.Built,
     bucket: String,
     prefix: String,
     leafBlockSize: Int = 256,
@@ -30,76 +30,34 @@ final class SkipListIndex(
 
   override def name: String = "Lucene-like (skip list)"
 
-  /** (firstTerm, offset, length) of one block within the level below. */
-  private type LevelEntry = (String, Int, Int)
+  /** A block's entries: (term, postings pointer) at the leaves, and
+    * (first term, the child block's range in the level below) above them.
+    */
+  private type Entries = Vector[(String, BinPointer)]
 
   // ---- build (driver-side; the dictionary is collected already) ---------
 
-  /** levelBlobs(k) holds level k's serialized blocks; level 0 = leaves. */
-  private val (levelBlobs: Vector[String], topEntries: Vector[LevelEntry]) = {
-    val blobs = Vector.newBuilder[String]
-
-    def writeLevel(blobName: String, blocks: Seq[Array[Byte]]): Vector[LevelEntry] = {
+  /** levelBlobs(k) holds level k's serialized blocks (level 0 = leaves);
+    * topEntries indexes the topmost level and stays in memory. Each upper
+    * level indexes every `fanout`-th block until the directory fits.
+    */
+  private val (levelBlobs: Vector[String], topEntries: Entries) = {
+    var blobs = Vector.empty[String]
+    var entries: Entries = built.words.toVector.map(w => (w, built.pointers(w)))
+    var blockSize = leafBlockSize
+    do {
       val buf = new ByteArrayOutputStream()
-      val entries = Vector.newBuilder[(Int, Int)]
-      blocks.foreach { b => entries += ((buf.size(), b.length)); buf.write(b, 0, b.length) }
-      store.put(blobName, buf.toByteArray)
-      blobs += blobName
-      entries.result().zip(blocks).map { case ((off, len), _) => (null: String, off, len) }
-    }
-
-    // Leaf level: blocks of (term -> postings pointer).
-    val leafGroups = built.words.grouped(leafBlockSize).toVector
-    val leafBlocks = leafGroups.map { ws =>
-      serializeBlock(ws.map(w => (w, built.pointers(w))))
-    }
-    var entries = writeLevel(s"$prefix/skiplist-0", leafBlocks)
-      .zip(leafGroups).map { case ((_, off, len), ws) => (ws.head, off, len) }
-
-    // Upper levels until the directory fits in memory.
-    var level = 1
-    while (entries.size > fanout) {
-      val groups = entries.grouped(fanout).toVector
-      val blocks = groups.map { es =>
-        serializeBlock(es.map { case (t, off, len) =>
-          (t, BinPointer(0, off, len)) // block field unused at upper levels
-        })
-      }
-      entries = writeLevel(s"$prefix/skiplist-$level", blocks)
-        .zip(groups).map { case ((_, off, len), es) => (es.head._1, off, len) }
-      level += 1
-    }
-    (blobs.result(), entries)
-  }
-
-  private def serializeBlock(entries: Seq[(String, BinPointer)]): Array[Byte] = {
-    import PostingsCodec._
-    val out = new ByteArrayOutputStream()
-    writeVarLong(out, entries.size.toLong)
-    entries.foreach { case (t, p) =>
-      writeString(out, t)
-      writeVarLong(out, p.block.toLong); writeVarLong(out, p.offset.toLong)
-      writeVarLong(out, p.length.toLong)
-    }
-    out.toByteArray
-  }
-
-  private def parseBlock(bytes: Array[Byte]): Vector[(String, BinPointer)] = {
-    val r = new PostingsCodec.Reader(bytes)
-    Vector.fill(r.readVarInt()) {
-      (r.readString(), BinPointer(r.readVarInt(), r.readVarInt(), r.readVarInt()))
-    }
-  }
-
-  /** Last entry index with term <= word (or 0 if word precedes all). */
-  private def floorIndex(terms: IndexedSeq[String], word: String): Int = {
-    var lo = 0; var hi = terms.size - 1
-    if (word < terms(0)) return 0
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (terms(mid) <= word) lo = mid else hi = mid - 1
-    }
-    lo
+      entries = entries.grouped(blockSize).map { block =>
+        val off = buf.size()
+        PostingsCodec.writeEntries(buf, block)
+        (block.head._1, BinPointer(0, off, buf.size() - off)) // block field unused above leaves
+      }.toVector
+      val blob = s"$prefix/skiplist-${blobs.size}"
+      store.put(blob, buf.toByteArray)
+      blobs :+= blob
+      blockSize = fanout
+    } while (entries.size > fanout)
+    (blobs, entries)
   }
 
   // ---- lookup ------------------------------------------------------------
@@ -108,57 +66,34 @@ final class SkipListIndex(
     * locally run Lucene enjoys; sized well below the dictionary at bench
     * scale so large corpora still pay the dependent reads.
     */
-  private val blockCache =
-    new java.util.LinkedHashMap[(Int, Long), Vector[(String, BinPointer)]](16, 0.75f, true) {
-      override def removeEldestEntry(
-          e: java.util.Map.Entry[(Int, Long), Vector[(String, BinPointer)]]): Boolean =
-        size() > cacheBlocks
-    }
+  private val blockCache = ExactPostings.lru[(Int, Long), Entries](cacheBlocks)
 
   /** Drop cached dictionary blocks (fresh-VM condition). */
   def clearCache(): Unit = blockCache.clear()
 
-  private def readBlock(level: Int, p: BinPointer, ledger: FetchLedger): Vector[(String, BinPointer)] = {
+  private def readBlock(level: Int, p: BinPointer, ledger: FetchLedger): Entries = {
     val key = (level, p.offset.toLong)
     val hit = blockCache.get(key)
     if (hit != null) return hit
     val bytes = store.getRange(RangeReq(levelBlobs(level), p.offset.toLong, p.length), ledger)
-    val entries = parseBlock(bytes)
-    if (cacheBlocks > 0) blockCache.put(key, entries)
+    val entries = new PostingsCodec.Reader(bytes).readEntries()
+    blockCache.put(key, entries)
     entries
   }
 
   override def lookup(word: String, ledger: FetchLedger): IndexedSeq[Posting] = {
     // Descend from the in-memory top directory: ONE dependent range read
     // per level (modulo cache hits), then the postings read.
-    var level = levelBlobs.size - 1
-    var entries: Vector[(String, BinPointer)] =
-      topEntries.map { case (t, off, len) => (t, BinPointer(0, off, len)) }
-    while (level >= 0) {
-      val i = floorIndex(entries.map(_._1), word)
-      entries = readBlock(level, entries(i)._2, ledger)
-      level -= 1
+    var entries = topEntries
+    levelBlobs.indices.reverse.foreach { level =>
+      entries = readBlock(level, entries(ExactPostings.floor(entries.map(_._1), word))._2, ledger)
     }
-    entries.find(_._1 == word) match {
-      case None => Vector.empty
-      case Some((_, ptr)) =>
-        val bytes = store.getRange(
-          RangeReq(built.blockBlobs(ptr.block), ptr.offset.toLong, ptr.length), ledger)
-        PostingsCodec.decode(bytes)
-    }
+    entries.find(_._1 == word)
+      .fold[IndexedSeq[Posting]](Postings.empty)(e => built.read(store, e._2, ledger))
   }
 
-  override def search(word: String, topK: Option[Int]): SearchResult = {
-    val ledger = new FetchLedger
-    val candidates = lookup(word, ledger)
-    val keep = DocFetcher.wordPredicate(word)
-    val r = topK match {
-      case Some(k) => DocFetcher.fetchTopK(store, built.docBlobs, candidates, keep,
-                                           k, f0 = 0.0, delta = 1e-6, ledger = ledger)
-      case None    => DocFetcher.fetchAndFilter(store, built.docBlobs, candidates, keep, ledger)
-    }
-    SearchResult(r.docs, candidates.size, r.fetched, r.falsePositives, ledger.stats)
-  }
+  override def search(word: String, topK: Option[Int]): SearchResult =
+    built.search(store, word, topK)(lookup(word, _))
 
   override def indexBytes: Long =
     levelBlobs.map(store.size).sum + built.bytesOf(store)

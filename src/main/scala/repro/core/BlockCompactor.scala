@@ -41,7 +41,8 @@ object BlockCompactor {
 
   /** Pack `groups` — (key columns…, [[postings]]) — into block blobs.
     *
-    * The groups are range-partitioned into `numBlocks` partitions and sorted
+    * The groups are hash-partitioned on `keys` into `numBlocks` partitions,
+    * so the layout does not depend on what the session ran before, and sorted
     * on `keys`; each partition encodes its groups with [[PostingsCodec]] and
     * writes them from the executor as one blob `<blobPrefix>-<partition>`
     * in `bucket`. Only pointers travel back to the driver.
@@ -58,7 +59,7 @@ object BlockCompactor {
     val enc = Encoders.tuple(implicitly[Encoder[K]], Encoders.scalaInt, Encoders.scalaInt,
                              Encoders.scalaInt)
     val rows = groups
-      .repartitionByRange(numBlocks, keyCols: _*)
+      .repartition(numBlocks, keyCols: _*)
       .sortWithinPartitions(keyCols: _*)
       .mapPartitions { it =>
         val pid = TaskContext.getPartitionId()

@@ -43,10 +43,8 @@ object Builder {
 
     val profile = profileOpt.getOrElse(
       CorpusProfile.profile(spark, docs, maxTopWords = math.max(config.commonBins, 100)))
-    val hist = profile.histWithCi.map { case (wi, cnt, ci) => IoUMath.HistRow(wi, cnt, ci) }
-
     val lStar = config.layersOverride.getOrElse {
-      LayerOptimizer.minimizeLayers(config.iouBins, config.f0, hist) match {
+      LayerOptimizer.minimizeLayers(config.iouBins, config.f0, IoUMath.hist(profile)) match {
         case Right(l) => l
         case Left(rej) => throw new IllegalArgumentException(
           s"IoU Sketch optimization rejected (B=${config.iouBins}, F0=${config.f0}): ${rej.message}")

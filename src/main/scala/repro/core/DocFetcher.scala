@@ -15,6 +15,23 @@ object DocFetcher {
   /** Outcome of the retrieval + filtering step. */
   final case class Result(docs: Vector[Doc], fetched: Int, falsePositives: Int)
 
+  /** The one search routine of Airphant and every baseline: resolve the
+    * candidates with `lookup`, fetch all of them (`topK = None`) or a top-K
+    * sample (§IV-D, with `f0` and `delta`), keep the documents that satisfy
+    * `keep`, and account every read of the query in one ledger.
+    */
+  def search(store: CloudStorage, docBlobs: Array[String], keep: String => Boolean,
+             topK: Option[Int], f0: Double, delta: Double)
+            (lookup: FetchLedger => IndexedSeq[Posting]): SearchResult = {
+    val ledger = new FetchLedger
+    val candidates = lookup(ledger)
+    val r = topK match {
+      case Some(k) => fetchTopK(store, docBlobs, candidates, keep, k, f0, delta, ledger)
+      case None    => fetchAndFilter(store, docBlobs, candidates, keep, ledger)
+    }
+    SearchResult(r.docs, candidates.size, r.fetched, r.falsePositives, ledger.stats)
+  }
+
   /** Fetch all `candidates` and keep those whose text satisfies `keep`. */
   def fetchAndFilter(store: CloudStorage, docBlobs: Array[String],
                      candidates: IndexedSeq[Posting], keep: String => Boolean,

@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.corpus.CorpusProfile
+
 /** The paper's accuracy analysis (§IV-A), implemented verbatim.
   *
   * All formulas are parameterised by the total bin budget B, the number of
@@ -15,6 +17,10 @@ object IoUMath {
   final case class HistRow(wi: Int, count: Long, ci: Double) {
     require(wi >= 0 && count >= 0 && ci >= 0 && ci <= 1, s"bad hist row: $this")
   }
+
+  /** A corpus profile's histogram under the uniform query-word prior. */
+  def hist(profile: CorpusProfile): Seq[HistRow] =
+    profile.histWithCi.map { case (wi, cnt, ci) => HistRow(wi, cnt, ci) }
 
   /** Exact per-document false-positive probability, Eq. (1) left side:
     * q_i(L) = [1 − (1 − 1/(B/L))^{|W_i|}]^L.

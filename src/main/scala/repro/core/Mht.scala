@@ -62,20 +62,13 @@ final class Mht(
     blockBlobs.foreach(writeString(out, _))
     writeVarLong(out, docBlobs.length.toLong)
     docBlobs.foreach(writeString(out, _))
-    def writePointer(p: BinPointer): Unit = {
-      writeVarLong(out, p.block.toLong); writeVarLong(out, p.offset.toLong)
-      writeVarLong(out, p.length.toLong)
-    }
     binPointers.foreach { layer =>
       layer.foreach { p =>
         if (p == null) writeVarLong(out, 0L)
-        else { writeVarLong(out, 1L); writePointer(p) }
+        else { writeVarLong(out, 1L); writePointer(out, p) }
       }
     }
-    writeVarLong(out, commonWords.size.toLong)
-    commonWords.toSeq.sortBy(_._1).foreach { case (w, p) =>
-      writeString(out, w); writePointer(p)
-    }
+    writeEntries(out, commonWords.toSeq.sortBy(_._1))
     out.toByteArray
   }
 }
@@ -91,11 +84,10 @@ object Mht {
     val seeds = Array.fill(layers)(r.readVarLong().toInt)
     val blockBlobs = Array.fill(r.readVarInt())(r.readString())
     val docBlobs = Array.fill(r.readVarInt())(r.readString())
-    def readPointer(): BinPointer = BinPointer(r.readVarInt(), r.readVarInt(), r.readVarInt())
     val binPointers = Array.fill(layers)(Array.tabulate(binsPerLayer) { _ =>
-      if (r.readVarInt() == 0) null else readPointer()
+      if (r.readVarInt() == 0) null else r.readPointer()
     })
-    val common = Seq.fill(r.readVarInt())((r.readString(), readPointer())).toMap
+    val common = r.readEntries().toMap
     new Mht(layers, binsPerLayer, seeds, binPointers, common, blockBlobs, docBlobs)
   }
 

@@ -44,12 +44,28 @@ object PostingsCodec {
       val n = readVarInt()
       val s = new String(bytes, pos, n, "UTF-8"); pos += n; s
     }
+    def readPointer(): BinPointer = BinPointer(readVarInt(), readVarInt(), readVarInt())
+    def readEntries(): Vector[(String, BinPointer)] =
+      Vector.fill(readVarInt())((readString(), readPointer()))
   }
 
   def writeString(out: ByteArrayOutputStream, s: String): Unit = {
     val b = s.getBytes("UTF-8")
     writeVarLong(out, b.length.toLong)
     out.write(b, 0, b.length)
+  }
+
+  def writePointer(out: ByteArrayOutputStream, p: BinPointer): Unit = {
+    writeVarLong(out, p.block.toLong); writeVarLong(out, p.offset.toLong)
+    writeVarLong(out, p.length.toLong)
+  }
+
+  /** A (term → pointer) table: the MHT's common words, a B-tree leaf and a
+    * skip-list block all persist their entries in this one format.
+    */
+  def writeEntries(out: ByteArrayOutputStream, entries: Seq[(String, BinPointer)]): Unit = {
+    writeVarLong(out, entries.size.toLong)
+    entries.foreach { case (t, p) => writeString(out, t); writePointer(out, p) }
   }
 
   // ---- superpost codec ---------------------------------------------------

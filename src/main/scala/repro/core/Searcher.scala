@@ -44,31 +44,19 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
     * taken from the given config.
     */
   def search(word: String, topK: Option[Int] = None,
-             config: IoUConfig = IoUConfig()): SearchResult = {
-    val ledger = new FetchLedger
-    val candidates = lookup(word, ledger)
-    val keep = DocFetcher.wordPredicate(word)
-    val r = topK match {
-      case Some(kk) => DocFetcher.fetchTopK(store, mht.docBlobs, candidates, keep,
-                                            kk, config.f0, config.topKDelta, ledger)
-      case None     => DocFetcher.fetchAndFilter(store, mht.docBlobs, candidates, keep, ledger)
-    }
-    SearchResult(r.docs, candidates.size, r.fetched, r.falsePositives, ledger.stats)
-  }
+             config: IoUConfig = IoUConfig()): SearchResult =
+    DocFetcher.search(store, mht.docBlobs, DocFetcher.wordPredicate(word), topK,
+                      config.f0, config.topKDelta)(lookup(word, _))
 
   /** Boolean query (§IV-F): Q(∨_i ∧_j w_ij) = ∪_i ∩_j Q(w_ij). All term
     * superposts across the whole expression are fetched in ONE concurrent
     * batch; set algebra and the final exact filter follow.
     */
-  def searchBoolean(query: BoolQuery, config: IoUConfig = IoUConfig()): SearchResult = {
-    val ledger = new FetchLedger
-    val terms = BoolQuery.terms(query).toSeq.sorted
-    val perTerm = lookupBatch(terms, ledger)
-    val candidates = BoolQuery.candidates(query, perTerm)
-    val keep: String => Boolean = t => BoolQuery.matches(query, t)
-    val r = DocFetcher.fetchAndFilter(store, mht.docBlobs, candidates, keep, ledger)
-    SearchResult(r.docs, candidates.size, r.fetched, r.falsePositives, ledger.stats)
-  }
+  def searchBoolean(query: BoolQuery, config: IoUConfig = IoUConfig()): SearchResult =
+    DocFetcher.search(store, mht.docBlobs, BoolQuery.matches(query, _), None,
+                      config.f0, config.topKDelta) { ledger =>
+      BoolQuery.candidates(query, lookupBatch(BoolQuery.terms(query).toSeq.sorted, ledger))
+    }
 
   /** Resolve several words' final postings lists with a single batch of
     * concurrent superpost reads: plan each word's pointers (a common word's

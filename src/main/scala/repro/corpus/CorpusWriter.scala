@@ -28,13 +28,13 @@ object CorpusWriter {
     import spark.implicits._
     val arranged = docs
       .select($"doc_id".cast("long"), $"text".cast("string"))
-      .repartitionByRange(numBlobs, $"doc_id")
+      .repartition(numBlobs, $"doc_id")
       .sortWithinPartitions($"doc_id")
 
     val placed = arranged
       .mapPartitions { it =>
-        // Partition id is recovered from the task context so blob names are
-        // stable under repartitionByRange's deterministic assignment.
+        // Partition id is recovered from the task context; hash partitioning
+        // assigns each doc_id to the same blob whatever the session ran before.
         val pid = org.apache.spark.TaskContext.getPartitionId()
         val blobName = s"$prefix/docs-$pid"
         val buf = new java.io.ByteArrayOutputStream()

@@ -68,14 +68,17 @@ private[datasource] class AirphantTable extends Table with SupportsRead {
   override def capabilities(): util.Set[TableCapability] =
     Set(TableCapability.BATCH_READ).asJava
   override def newScanBuilder(options: CaseInsensitiveStringMap): ScanBuilder =
-    new AirphantScanBuilder(options.asCaseSensitiveMap().asScala.toMap)
+    new AirphantScanBuilder(options)
 }
 
-private[datasource] class AirphantScanBuilder(options: Map[String, String])
+/** Reads its options case-insensitively, as Spark documents them. */
+private[datasource] class AirphantScanBuilder(options: CaseInsensitiveStringMap)
     extends ScanBuilder with SupportsPushDownFilters {
 
+  private def option(key: String): Option[String] = Option(options.get(key))
+
   private var keywords: Option[Seq[String]] =
-    options.get("keyword").map(_.split(",").toSeq.map(_.trim).filter(_.nonEmpty))
+    option("keyword").map(_.split(",").toSeq.map(_.trim).filter(_.nonEmpty))
   private var pushed: Array[Filter] = Array.empty
 
   override def pushFilters(filters: Array[Filter]): Array[Filter] = {
@@ -99,9 +102,10 @@ private[datasource] class AirphantScanBuilder(options: Map[String, String])
   override def pushedFilters(): Array[Filter] = pushed
 
   override def build(): Scan = {
-    val bucket = options.getOrElse("bucket", sys.error("airphant source: missing 'bucket'"))
-    val header = options.getOrElse("header", sys.error("airphant source: missing 'header'"))
-    val slice = options.getOrElse("slicedocs", "512").toInt
+    val bucket = option("bucket").getOrElse(sys.error("airphant source: missing 'bucket'"))
+    val header = option("header").getOrElse(sys.error("airphant source: missing 'header'"))
+    val slice = options.getInt("sliceDocs", 512)
+    require(slice >= 1, s"airphant source: sliceDocs must be at least 1, got $slice")
     new AirphantScan(bucket, header, keywords, slice)
   }
 }

@@ -46,7 +46,7 @@ object AccuracySim {
 
   /** Expected false positives per query at this (B, L): (exact F, approx F̂). */
   def expectedFp(profile: CorpusProfile, b: Int, l: Int): (Double, Double) = {
-    val hist = profile.histWithCi.map { case (wi, cnt, ci) => IoUMath.HistRow(wi, cnt, ci) }
+    val hist = IoUMath.hist(profile)
     (IoUMath.fExact(l, b.toDouble, hist), IoUMath.fHat(l.toDouble, b.toDouble, hist))
   }
 }

@@ -3,7 +3,7 @@ package repro.exp
 import org.apache.spark.sql.SparkSession
 
 import repro.baselines.{AirphantEngine, ExactPostings, SkipListIndex, BTreeIndex}
-import repro.core.{Builder, IoUConfig, IoUMath, LayerOptimizer}
+import repro.core.{Builder, IoUConfig}
 
 /** Appendix Fig. 14 — term-index lookup latency, AIRPHANT vs SQLite-like
   * B-tree, on all four corpora. Paper: AIRPHANT's single round trip beats
@@ -131,20 +131,15 @@ object Fig17Exp {
   def run(spark: SparkSession, corpusName: String = "hdfs", b: Int = 5000,
           nQueries: Int = 64): Seq[Row] = {
     val corpus = EngineCache.corpus(spark, corpusName)
-    val hist = corpus.profile.histWithCi.map { case (wi, c, ci) => IoUMath.HistRow(wi, c, ci) }
     val queries = Workload.sampleWords(corpus.vocab, nQueries, seed = 1717)
     f0Values.map { f0 =>
       val config = IoUConfig(bins = b, f0 = f0)
-      val lStar = LayerOptimizer.minimizeLayers(config.iouBins, f0, hist) match {
-        case Right(l) => l
-        case Left(r)  => sys.error(s"F0=$f0 rejected: ${r.message}")
-      }
       val built = Builder.build(spark, corpus.docs, corpus.bucket, s"fig17-$f0",
                                 config, Some(corpus.profile))
       val engine = new AirphantEngine(corpus.store, built, config)
       val (searchMean, _) = Workload.meanP99(Workload.searchStats(engine, queries))
       val (lookupMean, _) = Workload.meanP99(Workload.lookupStats(engine, queries))
-      Row(f0, lStar, searchMean, lookupMean)
+      Row(f0, built.optimizedLayers, searchMean, lookupMean)
     }
   }
 

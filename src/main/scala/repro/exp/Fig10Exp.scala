@@ -43,7 +43,7 @@ object Fig10Exp {
     }
 
     // What the optimizer would choose at each B with F0 = 1.
-    val hist = corpus.profile.histWithCi.map { case (wi, c, ci) => IoUMath.HistRow(wi, c, ci) }
+    val hist = IoUMath.hist(corpus.profile)
     val lStars = bValues.map { b =>
       b -> LayerOptimizer.minimizeLayers(b, 1.0, hist).getOrElse(-1)
     }.toMap

@@ -126,6 +126,20 @@ class BaselinesSpec extends SparkSpec {
     assert(es.totalMs > sl.totalMs)
   }
 
+  test("elastic-like search is its mount faults plus the skip list's search") {
+    sampleWords(6).foreach { w =>
+      engines.clearCaches()
+      val mount = new FetchLedger
+      engines.elastic.mountFaults(w, mount)
+      val want = mount.stats + engines.skipList.search(w, Some(10)).stats
+      engines.clearCaches()
+      val es = engines.elastic.search(w, Some(10)).stats
+      assert(es.roundTripSteps == want.roundTripSteps && es.bytes == want.bytes, w)
+      assert(math.abs(es.waitMs - want.waitMs) <= 1e-9, w)
+      assert(math.abs(es.downloadMs - want.downloadMs) <= 1e-9, w)
+    }
+  }
+
   test("every engine reports a positive index size") {
     engines.all.foreach(e => assert(e.indexBytes > 0, e.name))
   }

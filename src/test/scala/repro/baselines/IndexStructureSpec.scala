@@ -120,6 +120,22 @@ class IndexStructureSpec extends AnyFunSuite {
     assert(sWarm < sCold, s"warm $sWarm vs cold $sCold")
   }
 
+  private def crc32(bytes: Array[Byte]): Long = {
+    val crc = new java.util.zip.CRC32
+    crc.update(bytes)
+    crc.getValue
+  }
+
+  test("the persisted skip-list and b-tree formats are pinned") {
+    val store = new LocalCloudStorage(NetworkModel())
+    val built = substrate(store)
+    new SkipListIndex(store, built, "b", "sl")
+    new BTreeIndex(store, built, "b", "bt")
+    val levels = store.list().filter(_.startsWith("sl/skiplist-")).sorted
+    assert(levels.map(b => crc32(store.getNoCost(b))) == Seq(2681292269L, 3941718763L))
+    assert(crc32(store.getNoCost("bt/btree")) == 681701117L)
+  }
+
   test("elastic-like over the deep skip list still answers exactly") {
     val store = new LocalCloudStorage(NetworkModel())
     val built = substrate(store)

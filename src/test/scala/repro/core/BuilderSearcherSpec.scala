@@ -218,6 +218,32 @@ class BuilderSearcherSpec extends SparkSpec {
     }
   }
 
+  test("corpus layout and index bytes do not depend on what the session ran before") {
+    // Range partitioning samples its bounds with a seed taken from the RDD
+    // id, and samples only above 300 rows per output partition: 4000 docs
+    // in 8 blobs, and 1 KiB blocks so the superposts span many blocks.
+    val raw = CorpusGen.unif(spark, 4000, 800, 6, seed = 21)
+    def writeAndBuild(bucket: String): (LocalCloudStorage, Set[(Long, String, Long, Int)]) = {
+      import spark.implicits._
+      val s = new LocalCloudStorage(NetworkModel())
+      CloudStorage.register(bucket, s)
+      try {
+        val docs = CorpusWriter.write(spark, raw, bucket, "corpus", numBlobs = 8)
+        val placed = docs.select("doc_id", "blob", "offset", "length")
+          .as[(Long, String, Long, Int)].collect().toSet
+        val b = Builder.build(spark, docs, bucket, "iou", config.copy(blockTargetBytes = 1024))
+        assert(Mht.deserialize(s.getNoCost(b.headerBlob)).blockBlobs.length >= 2)
+        docs.unpersist()
+        (s, placed)
+      } finally CloudStorage.unregister(bucket)
+    }
+    val (a, placedA) = writeAndBuild("bss-layout-a")
+    val (b, placedB) = writeAndBuild("bss-layout-b")
+    assert((placedA diff placedB).isEmpty, s"${(placedA diff placedB).size} documents moved")
+    assert(a.list().sorted == b.list().sorted)
+    a.list().foreach(n => assert(a.getNoCost(n).sameElements(b.getNoCost(n)), n))
+  }
+
   test("layersOverride=1 builds the naive hash table variant") {
     val ht = Builder.build(spark, docs, bucket, "ht", config.copy(layersOverride = Some(1)))
     assert(ht.layers == 1)

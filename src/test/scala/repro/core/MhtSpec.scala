@@ -93,6 +93,18 @@ class MhtSpec extends AnyFunSuite with GenChecks {
     assertSame(mht, back)
   }
 
+  test("the persisted header format is pinned") {
+    val ptrs = Array.tabulate(3, 50) { (l, b) =>
+      if ((l + b) % 4 == 0) null else BinPointer(b % 2, b * 300 + l, 17 + b)
+    }
+    val common = (0 until 6).map(i => s"w$i" -> BinPointer(i % 2, 70_000 + i * 40, 40)).toMap
+    val mht = new Mht(3, 50, Array(-5, 0, Int.MaxValue), ptrs, common,
+                      Array("blk-0", "blk-1"), Array("docs-0", "docs-1", "docs-2"))
+    val crc = new java.util.zip.CRC32
+    crc.update(mht.serialize())
+    assert(crc.getValue == 3628117636L)
+  }
+
   test("header stays small: O(B) bytes (paper: ~2 MB at B = 1e5)") {
     val layers = 2; val bins = 5000
     val ptrs = Array.fill(layers)(Array.tabulate(bins)(b => BinPointer(b % 3, b * 40, 35)))

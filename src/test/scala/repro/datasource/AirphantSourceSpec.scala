@@ -6,7 +6,7 @@ import org.apache.spark.sql.functions._
 
 import repro.{Oracle, SparkSpec}
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{Builder, IoUConfig}
+import repro.core.{Builder, IoUConfig, Searcher}
 import repro.corpus.CorpusGen
 import repro.exp.{BuiltCorpus, Corpora}
 
@@ -111,6 +111,34 @@ class AirphantSourceSpec extends SparkSpec {
     val all = table().filter($"word" === w)
     val filtered = all.filter($"length" > 10)
     assert(filtered.count() == all.collect().count(_.getAs[Int]("length") > 10))
+  }
+
+  test("sliceDocs sets the documents per input partition, in any letter case") {
+    val searcher = new Searcher(corpus.store, built.headerBlob)
+    val (w, candidates) = corpus.vocab.iterator
+      .map(w => (w, searcher.lookup(w, new FetchLedger).size)).find(_._2 >= 3).get
+    def partitions(key: String): Int =
+      spark.read.format("airphant")
+        .option("bucket", corpus.bucket)
+        .option("header", built.headerBlob)
+        .option(key, "1")
+        .load().filter(col("word") === w)
+        .queryExecution.executedPlan.collect { case s: BatchScanExec => s }
+        .head.inputRDD.getNumPartitions
+    assert(partitions("sliceDocs") == candidates)
+    assert(partitions("slicedocs") == candidates)
+  }
+
+  test("sliceDocs below 1 is rejected with a message that names it") {
+    val e = intercept[Exception] {
+      spark.read.format("airphant")
+        .option("bucket", corpus.bucket)
+        .option("header", built.headerBlob)
+        .option("sliceDocs", "0")
+        .load().filter(col("word") === corpus.vocab(1)).collect()
+    }
+    val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).map(_.getMessage)
+    assert(messages.exists(m => m != null && m.contains("sliceDocs")), e.getMessage)
   }
 
   test("missing required options fail fast") {

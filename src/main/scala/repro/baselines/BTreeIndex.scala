@@ -3,7 +3,7 @@ package repro.baselines
 import java.io.ByteArrayOutputStream
 
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{BinPointer, Posting, Postings, PostingsCodec, SearchResult}
+import repro.core.{BinPointer, Posting, PostingsCodec, SearchResult}
 
 /** SQLite-like baseline: a paged B-tree term index stored in a single
   * blob on cloud storage (§V-A0b: the paper uses SQLite "as a practical
@@ -18,12 +18,11 @@ import repro.core.{BinPointer, Posting, Postings, PostingsCodec, SearchResult}
 final class BTreeIndex(
     store: CloudStorage,
     built: ExactPostings.Built,
-    bucket: String,
     prefix: String,
-    pageSize: Int = 4096,
     cachePages: Int = 12,
 ) extends SearchEngine {
-  require(pageSize >= 512 && cachePages >= 1)
+  require(cachePages >= 1)
+  import BTreeIndex.PageSize
 
   override def name: String = "SQLite-like (B-tree)"
 
@@ -43,8 +42,8 @@ final class BTreeIndex(
     var nextId = 0
 
     def emit(bytes: Array[Byte]): Int = {
-      require(bytes.length <= pageSize, s"page overflow: ${bytes.length}")
-      pages += java.util.Arrays.copyOf(bytes, pageSize)
+      require(bytes.length <= PageSize, s"page overflow: ${bytes.length}")
+      pages += java.util.Arrays.copyOf(bytes, PageSize)
       val id = nextId; nextId += 1; id
     }
 
@@ -70,7 +69,7 @@ final class BTreeIndex(
       var cur = Vector.empty[A]; var bytes = 8
       items.foreach { a =>
         val s = size(a)
-        if (cur.nonEmpty && bytes + s > pageSize - 8) { groups += cur; cur = Vector.empty; bytes = 8 }
+        if (cur.nonEmpty && bytes + s > PageSize - 8) { groups += cur; cur = Vector.empty; bytes = 8 }
         cur :+= a; bytes += s
       }
       if (cur.nonEmpty) groups += cur
@@ -91,7 +90,7 @@ final class BTreeIndex(
     }
 
     val all = pages.result()
-    val buf = new ByteArrayOutputStream(all.size * pageSize)
+    val buf = new ByteArrayOutputStream(all.size * PageSize)
     all.foreach(p => buf.write(p, 0, p.length))
     store.put(blobName, buf.toByteArray)
     levelEntries.head._2
@@ -111,7 +110,7 @@ final class BTreeIndex(
   private def readPage(id: Int, ledger: FetchLedger): Page = {
     val hit = cache.get(id)
     if (hit != null) return hit
-    val bytes = store.getRange(RangeReq(blobName, id.toLong * pageSize, pageSize), ledger)
+    val bytes = store.getRange(RangeReq(blobName, id.toLong * PageSize, PageSize), ledger)
     val p = parsePage(bytes)
     cache.put(id, p)
     p
@@ -134,16 +133,20 @@ final class BTreeIndex(
   private def leafFor(word: String, page: Page, ledger: FetchLedger): Vector[(String, BinPointer)] =
     page match {
       case Internal(es) =>
-        leafFor(word, readPage(es(ExactPostings.floor(es.map(_._1), word))._2, ledger), ledger)
+        leafFor(word, readPage(es(ExactPostings.floor(es, word))._2, ledger), ledger)
       case Leaf(es) => es
     }
 
   override def lookup(word: String, ledger: FetchLedger): IndexedSeq[Posting] =
-    leafFor(word, readPage(rootPageId, ledger), ledger).find(_._1 == word)
-      .fold[IndexedSeq[Posting]](Postings.empty)(e => built.read(store, e._2, ledger))
+    built.readLeaf(store, leafFor(word, readPage(rootPageId, ledger), ledger), word, ledger)
 
   override def search(word: String, topK: Option[Int]): SearchResult =
     built.search(store, word, topK)(lookup(word, _))
 
   override def indexBytes: Long = store.size(blobName) + built.bytesOf(store)
+}
+
+object BTreeIndex {
+  /** SQLite's default page size (§V-A0c). */
+  private val PageSize = 4096
 }

@@ -22,7 +22,6 @@ import scala.util.hashing.MurmurHash3
 final class ElasticLike(
     store: CloudStorage,
     inner: SkipListIndex,
-    bucket: String,
     prefix: String,
     chunkReads: Int = 10,
     chunkBytes: Int = 1 << 20,

@@ -32,24 +32,33 @@ object ExactPostings {
       PostingsCodec.decode(store.getRange(
         RangeReq(blockBlobs(ptr.block), ptr.offset.toLong, ptr.length), ledger))
 
+    /** Read `word`'s postings through its entry in the dictionary `leaf`
+      * (sorted by term), or none if the leaf does not hold it.
+      */
+    def readLeaf(store: CloudStorage, leaf: IndexedSeq[(String, BinPointer)], word: String,
+                 ledger: FetchLedger): IndexedSeq[Posting] = {
+      val (term, ptr) = leaf(floor(leaf, word))
+      if (term == word) read(store, ptr, ledger) else Postings.empty
+    }
+
     /** Search `word` through the shared routine. An exact list holds no
       * false positives, so top-K samples with F0 = 0.
       */
     def search(store: CloudStorage, word: String, topK: Option[Int])
               (lookup: FetchLedger => IndexedSeq[Posting]): SearchResult =
-      DocFetcher.search(store, docBlobs, DocFetcher.wordPredicate(word), topK,
-                        f0 = 0.0, delta = 1e-6)(lookup)
+      DocFetcher.search(store, docBlobs, DocFetcher.wordPredicate(word), topK, f0 = 0.0)(lookup)
   }
 
-  /** Index of the last of the sorted `terms` that is <= `word`, or 0 if
-    * `word` precedes them all: the child a hierarchical dictionary descends to.
+  /** Index of the last of the `entries`, sorted by term, whose term is
+    * <= `word`, or 0 if `word` precedes them all: the child a hierarchical
+    * dictionary descends to, or the leaf entry that may equal `word`.
     */
-  def floor(terms: IndexedSeq[String], word: String): Int = {
-    if (word < terms(0)) return 0
-    var lo = 0; var hi = terms.size - 1
+  def floor(entries: IndexedSeq[(String, Any)], word: String): Int = {
+    if (word < entries(0)._1) return 0
+    var lo = 0; var hi = entries.size - 1
     while (lo < hi) {
       val mid = (lo + hi + 1) >>> 1
-      if (terms(mid) <= word) lo = mid else hi = mid - 1
+      if (entries(mid)._1 <= word) lo = mid else hi = mid - 1
     }
     lo
   }
@@ -62,11 +71,16 @@ object ExactPostings {
       override def removeEldestEntry(e: java.util.Map.Entry[K, V]): Boolean = size() > capacity
     }
 
+  /** Target size of each postings block blob: the superpost blocks' 1 MiB
+    * default (§IV-C), since the paper compresses every baseline's postings
+    * the same way as Airphant's (§V-A0b).
+    */
+  private val BlockTargetBytes = 1 << 20
+
   /** Aggregate exact postings per word and write them as block blobs under
     * `prefix` in the registered `bucket`.
     */
-  def build(spark: SparkSession, docs: DataFrame, bucket: String, prefix: String,
-            blockTargetBytes: Int = 1 << 20): Built = {
+  def build(spark: SparkSession, docs: DataFrame, bucket: String, prefix: String): Built = {
     import spark.implicits._
 
     val (docBlobs, words) = BlockCompactor.tokenize(spark, docs)
@@ -74,7 +88,7 @@ object ExactPostings {
 
     val approxBytes = docs.count() * 40L // rough: distinct words/doc * posting bytes
     val numBlocks = math.max(1, math.min(128,
-      math.ceil(approxBytes.toDouble / blockTargetBytes).toInt))
+      math.ceil(approxBytes.toDouble / BlockTargetBytes).toInt))
 
     val (blockBlobs, pointers) = BlockCompactor.compact(
       perWord, Seq("word"), numBlocks, bucket, s"$prefix/postings")(_.getString(0))

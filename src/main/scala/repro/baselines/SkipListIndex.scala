@@ -3,7 +3,7 @@ package repro.baselines
 import java.io.ByteArrayOutputStream
 
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{BinPointer, Posting, Postings, PostingsCodec, SearchResult}
+import repro.core.{BinPointer, Posting, PostingsCodec, SearchResult}
 
 /** Lucene-like baseline: a skip-list term index persisted on cloud
   * storage (§II-A: Lucene's term index is a skip list; §V-B0c attributes
@@ -11,7 +11,7 @@ import repro.core.{BinPointer, Posting, Postings, PostingsCodec, SearchResult}
   * locations depend on decisions in preceding reads").
   *
   * Terms are sorted into leaf blocks; each upper level indexes every
-  * `fanout`-th block of the level below; only the topmost level lives in
+  * `Fanout`-th block of the level below; only the topmost level lives in
   * memory after initialization. A lookup therefore descends one level per
   * *sequential* round trip — exactly the access pattern the paper blames —
   * then reads the postings list, then runs the shared document-retrieval
@@ -20,13 +20,11 @@ import repro.core.{BinPointer, Posting, Postings, PostingsCodec, SearchResult}
 final class SkipListIndex(
     store: CloudStorage,
     val built: ExactPostings.Built,
-    bucket: String,
     prefix: String,
-    leafBlockSize: Int = 256,
-    fanout: Int = 32,
     cacheBlocks: Int = 8,
 ) extends SearchEngine {
-  require(leafBlockSize >= 2 && fanout >= 2 && cacheBlocks >= 0)
+  require(cacheBlocks >= 0)
+  import SkipListIndex.{Fanout, LeafBlockSize}
 
   override def name: String = "Lucene-like (skip list)"
 
@@ -39,12 +37,12 @@ final class SkipListIndex(
 
   /** levelBlobs(k) holds level k's serialized blocks (level 0 = leaves);
     * topEntries indexes the topmost level and stays in memory. Each upper
-    * level indexes every `fanout`-th block until the directory fits.
+    * level indexes every `Fanout`-th block until the directory fits.
     */
   private val (levelBlobs: Vector[String], topEntries: Entries) = {
     var blobs = Vector.empty[String]
     var entries: Entries = built.words.toVector.map(w => (w, built.pointers(w)))
-    var blockSize = leafBlockSize
+    var blockSize = LeafBlockSize
     do {
       val buf = new ByteArrayOutputStream()
       entries = entries.grouped(blockSize).map { block =>
@@ -55,8 +53,8 @@ final class SkipListIndex(
       val blob = s"$prefix/skiplist-${blobs.size}"
       store.put(blob, buf.toByteArray)
       blobs :+= blob
-      blockSize = fanout
-    } while (entries.size > fanout)
+      blockSize = Fanout
+    } while (entries.size > Fanout)
     (blobs, entries)
   }
 
@@ -86,10 +84,9 @@ final class SkipListIndex(
     // per level (modulo cache hits), then the postings read.
     var entries = topEntries
     levelBlobs.indices.reverse.foreach { level =>
-      entries = readBlock(level, entries(ExactPostings.floor(entries.map(_._1), word))._2, ledger)
+      entries = readBlock(level, entries(ExactPostings.floor(entries, word))._2, ledger)
     }
-    entries.find(_._1 == word)
-      .fold[IndexedSeq[Posting]](Postings.empty)(e => built.read(store, e._2, ledger))
+    built.readLeaf(store, entries, word, ledger)
   }
 
   override def search(word: String, topK: Option[Int]): SearchResult =
@@ -97,4 +94,12 @@ final class SkipListIndex(
 
   override def indexBytes: Long =
     levelBlobs.map(store.size).sum + built.bytesOf(store)
+}
+
+object SkipListIndex {
+  /** Terms per leaf block, and blocks of the level below per entry of an
+    * upper level. The persisted format depends on both.
+    */
+  private val LeafBlockSize = 256
+  private val Fanout = 32
 }

@@ -1,7 +1,5 @@
 package repro.cloudstore
 
-import scala.collection.mutable.ArrayBuffer
-
 /** Mutable per-query ledger of simulated network activity.
   *
   * Engines thread one ledger through a single search; afterwards
@@ -11,21 +9,20 @@ import scala.collection.mutable.ArrayBuffer
   * as one step — that is the whole point of IoU Sketch).
   */
 final class FetchLedger {
-  private val steps = ArrayBuffer.empty[Cost]
+  private var total = FetchStats.zero
 
   /** Record one sequential step (a single request or one parallel batch). */
-  def record(c: Cost): Unit = steps += c
+  def record(c: FetchStats): Unit = total += c
 
-  def stats: FetchStats =
-    FetchStats(
-      roundTripSteps = steps.size,
-      waitMs = steps.iterator.map(_.waitMs).sum,
-      downloadMs = steps.iterator.map(_.downloadMs).sum,
-      bytes = steps.iterator.map(_.bytes).sum,
-    )
+  def stats: FetchStats = total
 }
 
-/** Immutable summary of the network activity of one query. */
+/** Immutable summary of network activity, split the same way the paper's
+  * tcpdump analysis splits it (§V-B0c): `waitMs` is time spent blocked
+  * before bytes flow (first-byte latency, i.e. the round-trip overhead)
+  * and `downloadMs` is time spent actually moving bytes. One request or
+  * one concurrent batch is one round-trip step.
+  */
 final case class FetchStats(roundTripSteps: Int, waitMs: Double, downloadMs: Double, bytes: Long) {
   def totalMs: Double = waitMs + downloadMs
   def +(o: FetchStats): FetchStats =

@@ -24,18 +24,6 @@ object Region {
   val all: Seq[Region] = Seq(Iowa, London, Singapore)
 }
 
-/** The cost of one network interaction, split the same way the paper's
-  * tcpdump analysis splits it (§V-B0c): `waitMs` is time spent blocked
-  * before bytes flow (first-byte latency, i.e. the round-trip overhead)
-  * and `downloadMs` is time spent actually moving bytes.
-  */
-final case class Cost(waitMs: Double, downloadMs: Double, bytes: Long) {
-  def totalMs: Double = waitMs + downloadMs
-  def +(o: Cost): Cost = Cost(waitMs + o.waitMs, downloadMs + o.downloadMs, bytes + o.bytes)
-}
-
-object Cost { val zero: Cost = Cost(0.0, 0.0, 0L) }
-
 /** Deterministic affine model of cloud-object-storage retrieval latency,
   * calibrated to the paper's Figure 2: the end-to-end time for a single
   * request is flat (~50 ms) up to ~2 MB and then grows linearly, i.e.
@@ -94,9 +82,9 @@ final case class NetworkModel(
   private def streamBpms: Double = streamBandwidthBpms * region.bandwidthFactor
   private def aggregateBpms: Double = streamBpms * aggregateStreams
 
-  /** Cost of a single sequential request of `bytes` bytes. */
-  def single(requestKey: String, bytes: Long): Cost =
-    Cost(waitMs(requestKey), bytes.toDouble / streamBpms, bytes)
+  /** Cost of a single sequential request of `bytes` bytes: one round trip. */
+  def single(requestKey: String, bytes: Long): FetchStats =
+    FetchStats(1, waitMs(requestKey), bytes.toDouble / streamBpms, bytes)
 
   /** Cost of one *batch* of concurrent `requests` issued together, of which
     * the caller waits for the `need` with the smallest first-byte latency.
@@ -118,13 +106,14 @@ final case class NetworkModel(
     * Each request's wait is computed once; its key is read only when
     * `tailProbability > 0`, the one case where jitter hashes it.
     *
-    * @return the cost, and the winners' request indices in completion order
-    *         (ascending first-byte latency, ties in request order)
+    * @return the cost (one round trip; none for an empty batch), and the
+    *         winners' request indices in completion order (ascending
+    *         first-byte latency, ties in request order)
     */
-  def batch(requests: IndexedSeq[RangeReq], need: Int): (Cost, IndexedSeq[Int]) = {
+  def batch(requests: IndexedSeq[RangeReq], need: Int): (FetchStats, IndexedSeq[Int]) = {
     val n = requests.size
     require(if (n == 0) need == 0 else need >= 1 && need <= n, s"need 1 <= need=$need <= $n")
-    if (n == 0) return (Cost.zero, IndexedSeq.empty)
+    if (n == 0) return (FetchStats.zero, IndexedSeq.empty)
     // At tail 0 every wait is the base latency, so the first `need` win.
     val (winners, waitOf): (IndexedSeq[Int], Int => Double) =
       if (tailProbability <= 0) (0 until need, _ => baseWaitMs)
@@ -151,6 +140,7 @@ final case class NetworkModel(
     while (j >= 0) { laterWaves += waits(j); j -= concurrency }
     val slowestStream = longest.toDouble / streamBpms
     val contended = totalBytes.toDouble / aggregateBpms
-    (Cost(waits(need - 1), laterWaves + math.max(slowestStream, contended), totalBytes), winners)
+    (FetchStats(1, waits(need - 1), laterWaves + math.max(slowestStream, contended), totalBytes),
+     winners)
   }
 }

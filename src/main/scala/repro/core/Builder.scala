@@ -18,8 +18,6 @@ object Builder {
 
   /** Handle to a persisted sketch. */
   final case class BuiltSketch(
-      bucket: String,
-      prefix: String,
       headerBlob: String,
       layers: Int,
       optimizedLayers: Int,
@@ -102,7 +100,7 @@ object Builder {
     store.put(headerBlob, mht.serialize())
 
     val indexBytes = store.list().filter(_.startsWith(prefix + "/")).map(store.size).sum
-    BuiltSketch(bucket, prefix, headerBlob, totalLayers, lStar, binsPerLayer,
+    BuiltSketch(headerBlob, totalLayers, lStar, binsPerLayer,
                 commonWords.length, profile, indexBytes)
   }
 }

@@ -12,21 +12,27 @@ import repro.corpus.{Doc, DocRef, Parsers}
   */
 object DocFetcher {
 
+  /** δ, the probability that the top-K sample of Eq. 6 holds fewer than K
+    * relevant documents and must fall back to the rest: the paper's 1e-6
+    * (§IV-D, §V-A0c).
+    */
+  val TopKDelta: Double = 1e-6
+
   /** Outcome of the retrieval + filtering step. */
   final case class Result(docs: Vector[Doc], fetched: Int, falsePositives: Int)
 
   /** The one search routine of Airphant and every baseline: resolve the
     * candidates with `lookup`, fetch all of them (`topK = None`) or a top-K
-    * sample (§IV-D, with `f0` and `delta`), keep the documents that satisfy
+    * sample (§IV-D, with `f0`), keep the documents that satisfy
     * `keep`, and account every read of the query in one ledger.
     */
   def search(store: CloudStorage, docBlobs: Array[String], keep: String => Boolean,
-             topK: Option[Int], f0: Double, delta: Double)
+             topK: Option[Int], f0: Double)
             (lookup: FetchLedger => IndexedSeq[Posting]): SearchResult = {
     val ledger = new FetchLedger
     val candidates = lookup(ledger)
     val r = topK match {
-      case Some(k) => fetchTopK(store, docBlobs, candidates, keep, k, f0, delta, ledger)
+      case Some(k) => fetchTopK(store, docBlobs, candidates, keep, k, f0, ledger)
       case None    => fetchAndFilter(store, docBlobs, candidates, keep, ledger)
     }
     SearchResult(r.docs, candidates.size, r.fetched, r.falsePositives, ledger.stats)
@@ -53,16 +59,16 @@ object DocFetcher {
   }
 
   /** Top-K variant (§IV-D): fetch a sampled prefix of size R_K (Eq. 6)
-    * first; in the (probability ≤ δ) event that it yields fewer than K
-    * relevant documents, fall back to fetching the remainder — recall is
-    * never sacrificed. The sample is a deterministic seeded shuffle so
+    * first; in the (probability ≤ [[TopKDelta]]) event that it yields fewer
+    * than K relevant documents, fall back to fetching the remainder — recall
+    * is never sacrificed. The sample is a deterministic seeded shuffle so
     * runs are reproducible.
     */
   def fetchTopK(store: CloudStorage, docBlobs: Array[String],
                 candidates: IndexedSeq[Posting], keep: String => Boolean,
-                k: Int, f0: Double, delta: Double, ledger: FetchLedger): Result = {
+                k: Int, f0: Double, ledger: FetchLedger): Result = {
     if (candidates.isEmpty) return Result(Vector.empty, 0, 0)
-    val rk = IoUMath.topKSampleSize(k, candidates.size, f0, delta)
+    val rk = IoUMath.topKSampleSize(k, candidates.size, f0, TopKDelta)
     if (rk >= candidates.size) {
       val r = fetchAndFilter(store, docBlobs, candidates, keep, ledger)
       return Result(r.docs.take(k), r.fetched, r.falsePositives)

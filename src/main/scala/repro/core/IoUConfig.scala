@@ -2,40 +2,48 @@ package repro.core
 
 /** User-facing IoU Sketch configuration (§III-C0b).
   *
-  * The paper's defaults (§V-A0c): B = 1e5 bins, F0 = 1 expected false
-  * positive per query, 1% of bins reserved for common words' exact
-  * postings lists, top-K failure probability δ = 1e-6.
+  * The paper's defaults (§V-A0c): B = 1e5 bins and F0 = 1 expected false
+  * positive per query. The values the paper fixes rather than exposes are
+  * constants: [[IoUConfig.CommonWordFraction]], the hash seed family, and
+  * the top-K δ ([[DocFetcher.TopKDelta]]).
   *
   * @param bins               B — TOTAL bin budget, common-word bins included
   * @param f0                 accuracy budget: expected false positives per query
   * @param layersOverride     manually fix L, skipping profiling-driven optimization
-  * @param commonWordFraction fraction of B set aside for exact common-word postings
-  * @param topKDelta          δ for the top-K sampling guarantee (Eq. 6)
   * @param extraLayers        L+ replication: build this many layers beyond L* and
   *                           wait for only the fastest L* at query time (§IV-G)
   * @param blockTargetBytes   target size of each superpost block blob (§IV-C)
-  * @param seedBase           base of the per-layer hash seed sequence
   */
 final case class IoUConfig(
     bins: Int = 100000,
     f0: Double = 1.0,
     layersOverride: Option[Int] = None,
-    commonWordFraction: Double = 0.01,
-    topKDelta: Double = 1e-6,
     extraLayers: Int = 0,
     blockTargetBytes: Int = 1 << 20,
-    seedBase: Int = 1234,
 ) {
-  require(bins >= 2 && f0 >= 0 && commonWordFraction >= 0 && commonWordFraction < 1)
+  require(bins >= 2 && f0 >= 0)
   require(extraLayers >= 0 && blockTargetBytes >= 1024)
   layersOverride.foreach(l => require(l >= 1, "layersOverride must be >= 1"))
 
   /** Bins reserved for the most common words (§IV-E). */
-  def commonBins: Int = (bins * commonWordFraction).toInt
+  def commonBins: Int = (bins * IoUConfig.CommonWordFraction).toInt
 
   /** Bins available to the IoU Sketch proper. */
   def iouBins: Int = bins - commonBins
 
   /** The deterministic per-layer hash seed sequence. */
-  def seeds(nLayers: Int): Array[Int] = Array.tabulate(nLayers)(i => seedBase + i * 7919)
+  def seeds(nLayers: Int): Array[Int] = Array.tabulate(nLayers)(i => IoUConfig.SeedBase + i * 7919)
+}
+
+object IoUConfig {
+  /** Share of B set aside for exact common-word postings: the paper's 1 %
+    * (§IV-E, §V-A0c).
+    */
+  val CommonWordFraction: Double = 0.01
+
+  /** Base of the per-layer seed sequence that stands in for the paper's
+    * pairwise independent hash family (§IV-A). Persisted headers record
+    * the seeds, so a change here changes every index byte.
+    */
+  private val SeedBase: Int = 1234
 }

@@ -40,13 +40,13 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
   def lookup(word: String, ledger: FetchLedger): Postings = lookupBatch(Seq(word), ledger)(word)
 
   /** End-to-end search: lookup → fetch documents → exact filter.
-    * `topK = Some(K)` enables the sampled fetch of §IV-D with `f0`/`delta`
-    * taken from the given config.
+    * `topK = Some(K)` enables the sampled fetch of §IV-D with `f0` taken
+    * from the given config.
     */
   def search(word: String, topK: Option[Int] = None,
              config: IoUConfig = IoUConfig()): SearchResult =
     DocFetcher.search(store, mht.docBlobs, DocFetcher.wordPredicate(word), topK,
-                      config.f0, config.topKDelta)(lookup(word, _))
+                      config.f0)(lookup(word, _))
 
   /** Boolean query (§IV-F): Q(∨_i ∧_j w_ij) = ∪_i ∩_j Q(w_ij). All term
     * superposts across the whole expression are fetched in ONE concurrent
@@ -54,7 +54,7 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
     */
   def searchBoolean(query: BoolQuery, config: IoUConfig = IoUConfig()): SearchResult =
     DocFetcher.search(store, mht.docBlobs, BoolQuery.matches(query, _), None,
-                      config.f0, config.topKDelta) { ledger =>
+                      config.f0) { ledger =>
       BoolQuery.candidates(query, lookupBatch(BoolQuery.terms(query).toSeq.sorted, ledger))
     }
 

@@ -33,8 +33,8 @@ import scala.jdk.CollectionConverters._
   * it.
   *
   * Required options: `bucket` (a [[CloudStorage.named]] registration) and
-  * `header` (the sketch's header blob). Optional: `keyword` (alternative
-  * to a pushed filter), `sliceDocs` (max documents per input partition).
+  * `header` (the sketch's header blob). Optional: `sliceDocs` (max
+  * documents per input partition). Keywords arrive only as pushed filters.
   *
   * Pushed filters are still re-evaluated by Spark above the scan (we
   * return them as residuals), so correctness never depends on the index —
@@ -77,8 +77,10 @@ private[datasource] class AirphantScanBuilder(options: CaseInsensitiveStringMap)
 
   private def option(key: String): Option[String] = Option(options.get(key))
 
-  private var keywords: Option[Seq[String]] =
-    option("keyword").map(_.split(",").toSeq.map(_.trim).filter(_.nonEmpty))
+  require(option("keyword").isEmpty,
+    "airphant source: the 'keyword' option was removed; filter with word = '<keyword>' instead")
+
+  private var keywords: Option[Seq[String]] = None
   private var pushed: Array[Filter] = Array.empty
 
   override def pushFilters(filters: Array[Filter]): Array[Filter] = {
@@ -92,9 +94,7 @@ private[datasource] class AirphantScanBuilder(options: CaseInsensitiveStringMap)
         case EqualTo("word", _) | In("word", _) => true
         case _ => false
       }
-      // Intersect keyword sets if both the option and filters constrain words.
-      val fromFilters = usable.reduce(_ intersect _)
-      keywords = Some(keywords.fold(fromFilters)(_ intersect fromFilters))
+      keywords = Some(usable.reduce(_ intersect _))
     }
     filters // all filters remain residual: Spark re-evaluates them (cheap, safe)
   }

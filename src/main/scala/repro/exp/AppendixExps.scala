@@ -58,8 +58,8 @@ object Fig15Exp {
                                   config, Some(corpus.profile))
           val airEngine = new AirphantEngine(corpus.store, air, config)
           val exact = ExactPostings.build(spark, corpus.docs, corpus.bucket, "exact")
-          val sl = new SkipListIndex(corpus.store, exact, corpus.bucket, "skiplist")
-          val bt = new BTreeIndex(corpus.store, exact, corpus.bucket, "btree")
+          val sl = new SkipListIndex(corpus.store, exact, "skiplist")
+          val bt = new BTreeIndex(corpus.store, exact, "btree")
           val words = Workload.sampleWords(corpus.vocab, nQueries, seed = 1500 + n)
           Seq[repro.baselines.SearchEngine](airEngine, sl, bt).map { e =>
             val (mean, _) = Workload.meanP99(Workload.searchStats(e, words))

@@ -40,9 +40,9 @@ object Engines {
     val ht = Builder.build(spark, corpus.docs, corpus.bucket, "hashtable",
                            config.copy(layersOverride = Some(1)), profile)
     val exact = ExactPostings.build(spark, corpus.docs, corpus.bucket, "exact")
-    val sl = new SkipListIndex(corpus.store, exact, corpus.bucket, "skiplist")
-    val bt = new BTreeIndex(corpus.store, exact, corpus.bucket, "btree")
-    val es = new ElasticLike(corpus.store, sl, corpus.bucket, "elastic")
+    val sl = new SkipListIndex(corpus.store, exact, "skiplist")
+    val bt = new BTreeIndex(corpus.store, exact, "btree")
+    val es = new ElasticLike(corpus.store, sl, "elastic")
     EngineSet(
       new AirphantEngine(corpus.store, air, config),
       new AirphantEngine(corpus.store, ht, config.copy(layersOverride = Some(1)),

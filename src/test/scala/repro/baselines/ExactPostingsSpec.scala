@@ -64,4 +64,16 @@ class ExactPostingsSpec extends SparkSpec {
     assert(again.pointers.view.mapValues(_.length).toMap ==
            built.pointers.view.mapValues(_.length).toMap)
   }
+
+  test("floor finds the last entry whose term is <= the word") {
+    val es = Vector("b" -> 0, "d" -> 1, "f" -> 2, "h" -> 3)
+    assert(ExactPostings.floor(es, "a") == 0) // before the first term
+    assert(ExactPostings.floor(es, "b") == 0) // on the first term
+    assert(ExactPostings.floor(es, "e") == 1) // between two terms
+    assert(ExactPostings.floor(es, "ff") == 2)
+    assert(ExactPostings.floor(es, "h") == 3) // on the last term
+    assert(ExactPostings.floor(es, "z") == 3) // past the last term
+    val one = Vector("m" -> 0)
+    Seq("a", "m", "z").foreach(w => assert(ExactPostings.floor(one, w) == 0, w))
+  }
 }

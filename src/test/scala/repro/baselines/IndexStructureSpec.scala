@@ -35,7 +35,7 @@ class IndexStructureSpec extends AnyFunSuite {
 
   test("skip list at depth: every term resolves to its exact postings") {
     val store = new LocalCloudStorage(NetworkModel())
-    val sl = new SkipListIndex(store, substrate(store), "b", "sl", cacheBlocks = 0)
+    val sl = new SkipListIndex(store, substrate(store), "sl", cacheBlocks = 0)
     Seq(0, 1, 255, 256, 4095, 9999, 19998, 19999).foreach { i =>
       val got = sl.lookup(f"term$i%06d", new FetchLedger)
       assert(got == expected(i), s"term $i")
@@ -44,7 +44,7 @@ class IndexStructureSpec extends AnyFunSuite {
 
   test("skip list at depth: absent probes fall between terms and return empty") {
     val store = new LocalCloudStorage(NetworkModel())
-    val sl = new SkipListIndex(store, substrate(store), "b", "sl", cacheBlocks = 0)
+    val sl = new SkipListIndex(store, substrate(store), "sl", cacheBlocks = 0)
     Seq("aaa", "term000100x", "term020000", "zzz").foreach { w =>
       assert(sl.lookup(w, new FetchLedger).isEmpty, w)
     }
@@ -52,7 +52,7 @@ class IndexStructureSpec extends AnyFunSuite {
 
   test("skip list descends one dependent read per level (cold cache)") {
     val store = new LocalCloudStorage(NetworkModel())
-    val sl = new SkipListIndex(store, substrate(store), "b", "sl", cacheBlocks = 0)
+    val sl = new SkipListIndex(store, substrate(store), "sl", cacheBlocks = 0)
     // 20000 terms / 256-entry leaves = 79 leaf blocks; 79/32 = 3 level-1
     // blocks; top holds 3 entries. Descent = 2 reads + postings = 3 steps.
     val ledger = new FetchLedger
@@ -62,7 +62,7 @@ class IndexStructureSpec extends AnyFunSuite {
 
   test("skip list cache trims the descent on repeats") {
     val store = new LocalCloudStorage(NetworkModel())
-    val sl = new SkipListIndex(store, substrate(store), "b", "sl", cacheBlocks = 8)
+    val sl = new SkipListIndex(store, substrate(store), "sl", cacheBlocks = 8)
     val l1 = new FetchLedger; sl.lookup("term010000", l1)
     val l2 = new FetchLedger; sl.lookup("term010000", l2)
     assert(l2.stats.roundTripSteps < l1.stats.roundTripSteps)
@@ -73,7 +73,7 @@ class IndexStructureSpec extends AnyFunSuite {
 
   test("b-tree at depth: every term resolves to its exact postings") {
     val store = new LocalCloudStorage(NetworkModel())
-    val bt = new BTreeIndex(store, substrate(store), "b", "bt", cachePages = 1)
+    val bt = new BTreeIndex(store, substrate(store), "bt", cachePages = 1)
     Seq(0, 1, 169, 170, 8191, 9999, 19999).foreach { i =>
       val got = bt.lookup(f"term$i%06d", new FetchLedger)
       assert(got == expected(i), s"term $i")
@@ -82,7 +82,7 @@ class IndexStructureSpec extends AnyFunSuite {
 
   test("b-tree at depth: absent probes return empty") {
     val store = new LocalCloudStorage(NetworkModel())
-    val bt = new BTreeIndex(store, substrate(store), "b", "bt", cachePages = 1)
+    val bt = new BTreeIndex(store, substrate(store), "bt", cachePages = 1)
     Seq("a", "term0001005", "zzzz").foreach { w =>
       assert(bt.lookup(w, new FetchLedger).isEmpty, w)
     }
@@ -90,13 +90,13 @@ class IndexStructureSpec extends AnyFunSuite {
 
   test("b-tree pages never overflow the 4 KiB page size") {
     val store = new LocalCloudStorage(NetworkModel())
-    new BTreeIndex(store, substrate(store), "b", "bt")
+    new BTreeIndex(store, substrate(store), "bt")
     assert(store.size("bt/btree") % 4096 == 0)
   }
 
   test("b-tree traversal with a cold cache is root->leaf dependent reads") {
     val store = new LocalCloudStorage(NetworkModel())
-    val bt = new BTreeIndex(store, substrate(store), "b", "bt", cachePages = 1)
+    val bt = new BTreeIndex(store, substrate(store), "bt", cachePages = 1)
     // 20000 terms at ~26 B/entry => ~133 leaf pages whose separators all
     // fit in one root page: a depth-2 tree. With the root pre-warmed, a
     // cold lookup pays exactly 1 leaf page read + 1 postings read.
@@ -108,8 +108,8 @@ class IndexStructureSpec extends AnyFunSuite {
   test("larger page cache strictly reduces traversal cost") {
     val store = new LocalCloudStorage(NetworkModel())
     val built = substrate(store)
-    val cold = new BTreeIndex(store, built, "b", "bt1", cachePages = 1)
-    val warm = new BTreeIndex(store, built, "b", "bt2", cachePages = 500)
+    val cold = new BTreeIndex(store, built, "bt1", cachePages = 1)
+    val warm = new BTreeIndex(store, built, "bt2", cachePages = 500)
     val words = (0 until 200).map(i => f"term${i * 97}%06d")
     def steps(bt: BTreeIndex) = words.map { w =>
       val l = new FetchLedger; bt.lookup(w, l); l.stats.roundTripSteps
@@ -129,8 +129,8 @@ class IndexStructureSpec extends AnyFunSuite {
   test("the persisted skip-list and b-tree formats are pinned") {
     val store = new LocalCloudStorage(NetworkModel())
     val built = substrate(store)
-    new SkipListIndex(store, built, "b", "sl")
-    new BTreeIndex(store, built, "b", "bt")
+    new SkipListIndex(store, built, "sl")
+    new BTreeIndex(store, built, "bt")
     val levels = store.list().filter(_.startsWith("sl/skiplist-")).sorted
     assert(levels.map(b => crc32(store.getNoCost(b))) == Seq(2681292269L, 3941718763L))
     assert(crc32(store.getNoCost("bt/btree")) == 681701117L)
@@ -139,8 +139,8 @@ class IndexStructureSpec extends AnyFunSuite {
   test("elastic-like over the deep skip list still answers exactly") {
     val store = new LocalCloudStorage(NetworkModel())
     val built = substrate(store)
-    val sl = new SkipListIndex(store, built, "b", "sl", cacheBlocks = 0)
-    val es = new ElasticLike(store, sl, "b", "es", chunkReads = 3, chunkBytes = 64 * 1024)
+    val sl = new SkipListIndex(store, built, "sl", cacheBlocks = 0)
+    val es = new ElasticLike(store, sl, "es", chunkReads = 3, chunkBytes = 64 * 1024)
     val ledger = new FetchLedger
     val got = es.lookup("term000777", ledger)
     assert(got == expected(777))

@@ -33,8 +33,8 @@ class NetworkModelSpec extends AnyFunSuite with GenChecks {
   }
 
   test("cost is non-negative and additive") {
-    val a = Cost(1.0, 2.0, 3L); val b = Cost(4.0, 5.0, 6L)
-    assert((a + b) == Cost(5.0, 7.0, 9L))
+    val a = FetchStats(1, 1.0, 2.0, 3L); val b = FetchStats(1, 4.0, 5.0, 6L)
+    assert((a + b) == FetchStats(2, 5.0, 7.0, 9L))
     assert(a.totalMs == 3.0)
   }
 
@@ -56,7 +56,7 @@ class NetworkModelSpec extends AnyFunSuite with GenChecks {
     (1 to n).map(i => RangeReq(s"$prefix$i", 0L, bytes))
 
   /** Cost of a plain batch: the caller needs every range. */
-  private def all(model: NetworkModel, reqs: IndexedSeq[RangeReq]): Cost = model.batch(reqs, reqs.size)._1
+  private def all(model: NetworkModel, reqs: IndexedSeq[RangeReq]): FetchStats = model.batch(reqs, reqs.size)._1
 
   test("batch of one equals single request") {
     val r = RangeReq("k", 0L, 1000)
@@ -100,7 +100,7 @@ class NetworkModelSpec extends AnyFunSuite with GenChecks {
   }
 
   test("empty batch costs nothing") {
-    assert(m.batch(Vector.empty, 0) == ((Cost.zero, IndexedSeq.empty)))
+    assert(m.batch(Vector.empty, 0) == ((FetchStats.zero, IndexedSeq.empty)))
   }
 
   test("batch bytes equal the sum of request bytes") {
@@ -147,13 +147,13 @@ class NetworkModelSpec extends AnyFunSuite with GenChecks {
   // pinned exactly: one pricing function must not move any ledger.
   test("pinned prices: 100 ranges at tail 0, 40 ranges at tail 0.3, 4-of-5 at tail 0.3") {
     val plain = (0 until 100).map(i => RangeReq(s"ix/superposts-${i % 3}", i * 1000L, 500 + 37 * i))
-    assert(all(m, plain) == Cost(50.0, 151.4571875, 233150L))
+    assert(all(m, plain) == FetchStats(1, 50.0, 151.4571875, 233150L))
     val tail = m.copy(tailProbability = 0.3)
     val docs = (0 until 40).map(i => RangeReq("corpus/docs-1", i * 4096L, 100 + (i * 7919) % 3000))
-    assert(all(tail, docs) == Cost(1000.0, 50.398875, 63820L))
+    assert(all(tail, docs) == FetchStats(1, 1000.0, 50.398875, 63820L))
     // Layer 0 straggles, so the 4 winners are layers 1-4.
     val layers = (0 until 5).map(l => RangeReq(s"ix/superposts-$l", 800 + l * 64L, 200 + 50 * l))
-    assert(tail.batch(layers, 4) == ((Cost(50.0, 0.01, 1300L), Seq(1, 2, 3, 4))))
+    assert(tail.batch(layers, 4) == ((FetchStats(1, 50.0, 0.01, 1300L), Seq(1, 2, 3, 4))))
   }
 
   test("jitter is deterministic per request key") {

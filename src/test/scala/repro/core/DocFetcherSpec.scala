@@ -58,7 +58,7 @@ class DocFetcherSpec extends AnyFunSuite {
   test("fetchTopK returns exactly K when more than K match") {
     val (store, blobs, ps) = fixture()
     val r = DocFetcher.fetchTopK(store, blobs, ps, DocFetcher.wordPredicate("hit"),
-                                 k = 3, f0 = 1.0, delta = 1e-6, ledger = new FetchLedger)
+                                 k = 3, f0 = 1.0, ledger = new FetchLedger)
     assert(r.docs.size == 3)
     r.docs.foreach(d => assert(d.text.startsWith("hit")))
   }
@@ -69,7 +69,7 @@ class DocFetcherSpec extends AnyFunSuite {
     val (store, blobs, ps) = fixture()
     val ledger = new FetchLedger
     val r = DocFetcher.fetchTopK(store, blobs, ps, DocFetcher.wordPredicate("hit"),
-                                 k = 10, f0 = 1.0, delta = 1e-6, ledger = ledger)
+                                 k = 10, f0 = 1.0, ledger = ledger)
     assert(r.docs.size == 10)
     assert(r.fetched == 20, "fallback should have fetched everything")
   }
@@ -77,15 +77,14 @@ class DocFetcherSpec extends AnyFunSuite {
   test("fetchTopK with K beyond the corpus returns every match") {
     val (store, blobs, ps) = fixture()
     val r = DocFetcher.fetchTopK(store, blobs, ps, DocFetcher.wordPredicate("hit"),
-                                 k = 500, f0 = 1.0, delta = 1e-6, ledger = new FetchLedger)
+                                 k = 500, f0 = 1.0, ledger = new FetchLedger)
     assert(r.docs.size == 10)
   }
 
   test("fetchTopK sampling is deterministic") {
     val (store, blobs, ps) = fixture()
     def run() = DocFetcher.fetchTopK(store, blobs, ps, _ => true,
-                                     k = 2, f0 = 1.0, delta = 1e-6,
-                                     ledger = new FetchLedger).docs.map(_.ref.docId)
+                                     k = 2, f0 = 1.0, ledger = new FetchLedger).docs.map(_.ref.docId)
     assert(run() == run())
   }
 

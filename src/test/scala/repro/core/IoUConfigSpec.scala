@@ -10,14 +10,16 @@ class IoUConfigSpec extends AnyFunSuite {
     assert(c.f0 == 1.0)
     assert(c.commonBins == 1000)
     assert(c.iouBins == 99000)
-    assert(c.topKDelta == 1e-6)
+    assert(IoUConfig.CommonWordFraction == 0.01)
+    assert(DocFetcher.TopKDelta == 1e-6)
     assert(c.extraLayers == 0)
   }
 
   test("common bins follow the configured fraction and never eat everything") {
     assert(IoUConfig(bins = 5000).commonBins == 50)
     assert(IoUConfig(bins = 5000).iouBins == 4950)
-    assert(IoUConfig(bins = 10, commonWordFraction = 0.0).commonBins == 0)
+    assert(IoUConfig(bins = 99).commonBins == 0)
+    assert(IoUConfig(bins = 99).iouBins == 99)
   }
 
   test("seed sequence is deterministic, distinct, and sized to the layer count") {
@@ -29,14 +31,9 @@ class IoUConfigSpec extends AnyFunSuite {
     assert(c.seeds(3).toSeq == s.take(3).toSeq) // prefix-stable
   }
 
-  test("different seedBase yields different hash families") {
-    assert(IoUConfig(seedBase = 1).seeds(4).toSeq != IoUConfig(seedBase = 2).seeds(4).toSeq)
-  }
-
   test("validation rejects nonsense configurations") {
     intercept[IllegalArgumentException](IoUConfig(bins = 1))
     intercept[IllegalArgumentException](IoUConfig(f0 = -1))
-    intercept[IllegalArgumentException](IoUConfig(commonWordFraction = 1.0))
     intercept[IllegalArgumentException](IoUConfig(layersOverride = Some(0)))
     intercept[IllegalArgumentException](IoUConfig(extraLayers = -1))
     intercept[IllegalArgumentException](IoUConfig(blockTargetBytes = 10))

@@ -43,16 +43,15 @@ class AirphantSourceSpec extends SparkSpec {
       Seq("word", "doc_id", "blob", "offset", "length", "text"))
   }
 
-  test("keyword via option matches DuckDB (oracle)") {
-    val w = corpus.vocab(3)
-    val got = spark.read.format("airphant")
+  test("the removed keyword option is rejected") {
+    val scan = spark.read.format("airphant")
       .option("bucket", corpus.bucket)
       .option("header", built.headerBlob)
-      .option("keyword", w)
+      .option("keyword", corpus.vocab(3))
       .load()
       .select("doc_id")
-    Oracle.assertEquivalent(got, s"SELECT doc_id FROM pairs WHERE word = '$w'",
-                            "pairs" -> pairsDf)
+    val e = intercept[IllegalArgumentException](scan.collect())
+    assert(e.getMessage.contains("word = "), e.getMessage)
   }
 
   test("pushed EqualTo filter matches DuckDB (oracle)") {

@@ -77,21 +77,20 @@ object ExactPostings {
     */
   private val BlockTargetBytes = 1 << 20
 
-  /** Aggregate exact postings per word and write them as block blobs under
-    * `prefix` in the registered `bucket`.
+  /** Compact exact postings per word into block blobs under `prefix` in
+    * the registered `bucket`.
     */
   def build(spark: SparkSession, docs: DataFrame, bucket: String, prefix: String): Built = {
     import spark.implicits._
 
     val (docBlobs, words) = BlockCompactor.tokenize(spark, docs)
-    val perWord = words.groupBy($"word").agg(BlockCompactor.postings)
 
     val approxBytes = docs.count() * 40L // rough: distinct words/doc * posting bytes
     val numBlocks = math.max(1, math.min(128,
       math.ceil(approxBytes.toDouble / BlockTargetBytes).toInt))
 
     val (blockBlobs, pointers) = BlockCompactor.compact(
-      perWord, Seq("word"), numBlocks, bucket, s"$prefix/postings")(_.getString(0))
+      words, Seq("word"), numBlocks, bucket, s"$prefix/postings")(_.getString(0))
     Built(pointers.map(_._1).sorted, pointers.toMap, blockBlobs, docBlobs)
   }
 }

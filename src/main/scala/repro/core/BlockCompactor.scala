@@ -3,23 +3,20 @@ package repro.core
 import java.io.ByteArrayOutputStream
 
 import org.apache.spark.TaskContext
-import org.apache.spark.sql.{Column, DataFrame, Encoder, Encoders, Row, SparkSession}
+import org.apache.spark.sql.{DataFrame, Encoder, Encoders, Row, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.cloudstore.CloudStorage
 import repro.corpus.Parsers
 
 /** The one compaction scheme every term index is built with (§IV-C):
-  * documents are tokenized into (word, posting) rows, postings are grouped
-  * per index key, and the groups are packed into block blobs addressed by
-  * (block, offset, length). The IoU Sketch [[Builder]] groups by
-  * (layer, bin); the exact baselines group by word, so their postings are
+  * documents are tokenized into (word, posting) rows, each word's postings
+  * are keyed by the index keys it is posted under, and one shuffle packs
+  * each key's postings list into block blobs addressed by
+  * (block, offset, length). The IoU Sketch [[Builder]] keys by
+  * (layer, bin); the exact baselines key by word, so their postings are
   * "compressed identically to AIRPHANT's" (§V-A0b).
   */
 object BlockCompactor {
-
-  /** Aggregate of one group: its sorted, duplicate-free postings array. */
-  def postings: Column =
-    sort_array(collect_set(struct(col("blobId"), col("offset"), col("length")))) as "postings"
 
   /** Tokenize the corpus frame (blob, offset, length, text).
     *
@@ -39,42 +36,55 @@ object BlockCompactor {
     (docBlobs, words)
   }
 
-  /** Pack `groups` — (key columns…, [[postings]]) — into block blobs.
+  /** Pack `postings` — the `keys` columns plus blobId, offset and length,
+    * one row per (key, document) — into block blobs.
     *
-    * The groups are hash-partitioned on `keys` into `numBlocks` partitions,
-    * so the layout does not depend on what the session ran before, and sorted
-    * on `keys`; each partition encodes its groups with [[PostingsCodec]] and
-    * writes them from the executor as one blob `<blobPrefix>-<partition>`
-    * in `bucket`. Only pointers travel back to the driver.
+    * The rows are hash-partitioned on `keys` into `numBlocks` partitions, so
+    * every key lands in one block and the layout does not depend on what the
+    * session ran before, and sorted on (keys, blobId, offset). Each partition
+    * cuts a postings list wherever the key changes, drops a posting equal to
+    * the one before it (two words that share a key and a document), encodes
+    * each list with [[PostingsCodec]] and writes them from the executor as
+    * one blob `<blobPrefix>-<partition>` in `bucket`. Only pointers travel
+    * back to the driver.
     *
-    * @param keyOf reads a group's key from the first `keys.size` columns
+    * @param keyOf reads a row's key from the first `keys.size` columns
     * @return block blob names indexed by dense block id (partitions that
     *         wrote nothing get no id), and one pointer per key
     */
-  def compact[K: Encoder](groups: DataFrame, keys: Seq[String], numBlocks: Int,
+  def compact[K: Encoder](postings: DataFrame, keys: Seq[String], numBlocks: Int,
                           bucket: String, blobPrefix: String)
                          (keyOf: Row => K): (Array[String], Array[(K, BinPointer)]) = {
     val keyCols = keys.map(col)
     val nKeys = keys.size
     val enc = Encoders.tuple(implicitly[Encoder[K]], Encoders.scalaInt, Encoders.scalaInt,
                              Encoders.scalaInt)
-    val rows = groups
+    val rows = postings
+      .select(keyCols :+ col("blobId") :+ col("offset") :+ col("length"): _*)
       .repartition(numBlocks, keyCols: _*)
-      .sortWithinPartitions(keyCols: _*)
+      .sortWithinPartitions(keyCols :+ col("blobId") :+ col("offset"): _*)
       .mapPartitions { it =>
         val pid = TaskContext.getPartitionId()
         val blob = s"$blobPrefix-$pid"
         val buf = new ByteArrayOutputStream()
         val out = Vector.newBuilder[(K, Int, Int, Int)]
-        it.foreach { row =>
-          val ps = row.getSeq[Row](nKeys)
-            .map(r => Posting(r.getInt(0), r.getLong(1), r.getInt(2)))
-            .toIndexedSeq
-          val bytes = PostingsCodec.encode(ps)
-          out += ((keyOf(row), pid, narrowOffset(blob, buf.size().toLong, bytes.length),
-                   bytes.length))
+        val list = Vector.newBuilder[Posting]
+        var key: Option[K] = None
+        var last: Posting = null
+        def cut(): Unit = key.foreach { k =>
+          val bytes = PostingsCodec.encode(list.result())
+          out += ((k, pid, narrowOffset(blob, buf.size().toLong, bytes.length), bytes.length))
           buf.write(bytes, 0, bytes.length)
+          list.clear()
         }
+        it.foreach { row =>
+          val k = keyOf(row)
+          if (!key.contains(k)) { cut(); key = Some(k); last = null }
+          val p = Posting(row.getInt(nKeys), row.getLong(nKeys + 1), row.getInt(nKeys + 2))
+          if (p != last) list += p
+          last = p
+        }
+        cut()
         val res = out.result()
         if (res.nonEmpty) CloudStorage.named(bucket).put(blob, buf.toByteArray)
         res.iterator

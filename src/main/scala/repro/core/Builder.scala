@@ -10,9 +10,9 @@ import repro.corpus.CorpusProfile
   *
   * The pipeline is the paper's, expressed in DataFrames: parse documents
   * into words → profile (single pass, [[CorpusProfile]]) → optimise the
-  * layer count (Algorithm 1) → aggregate superposts per (layer, bin) →
-  * compact superposts into block blobs ([[BlockCompactor]], §IV-C) →
-  * persist the MHT header.
+  * layer count (Algorithm 1) → key each (word, document) posting by the
+  * (layer, bin)s of its word → compact them into superposts packed in block
+  * blobs, in one shuffle ([[BlockCompactor]], §IV-C) → persist the MHT header.
   */
 object Builder {
 
@@ -56,34 +56,24 @@ object Builder {
     val commonWords: Array[String] =
       profile.topWords.take(math.min(config.commonBins, profile.topWords.size)).map(_._1).toArray
     val bcCommonIdx = spark.sparkContext.broadcast(commonWords.zipWithIndex.toMap)
-    val commonIdx = udf((w: String) => bcCommonIdx.value.getOrElse(w, -1))
-    val binOf = udf((word: String, layer: Int) => Hashing.bin(word, seeds(layer), binsPerLayer))
+    // The (layer, bin) keys a word is posted under: a common word rides in
+    // the same compaction with layer = -1 and bin = its index; any other
+    // word is posted to its bin in every layer.
+    val keysOf = udf((word: String) => bcCommonIdx.value.get(word) match {
+      case Some(i) => Seq((-1, i))
+      case None => Seq.tabulate(totalLayers)(l => (l, Hashing.bin(word, seeds(l), binsPerLayer)))
+    })
 
     val (docBlobs, words) = BlockCompactor.tokenize(spark, docs)
-    val wordDocs = words.withColumn("cidx", commonIdx($"word"))
-
-    val layersArr = array((0 until totalLayers).map(lit(_)): _*)
-    val regularSupers = wordDocs
-      .filter($"cidx" === -1)
-      .select($"word", $"blobId", $"offset", $"length", explode(layersArr) as "layer")
-      .select($"layer", binOf($"word", $"layer") as "bin", $"blobId", $"offset", $"length")
-      .groupBy($"layer", $"bin")
-      .agg(BlockCompactor.postings)
-
-    // Common words ride in the same compaction with layer = -1, bin = word index.
-    val commonSupers = wordDocs
-      .filter($"cidx" =!= -1)
-      .select(lit(-1) as "layer", $"cidx" as "bin", $"blobId", $"offset", $"length")
-      .groupBy($"layer", $"bin")
-      .agg(BlockCompactor.postings)
+    val postings = words.select(inline(keysOf($"word")).as(Seq("layer", "bin")),
+                                $"blobId", $"offset", $"length")
 
     // Size blocks so each blob lands near the compaction target.
     val approxBytes = (profile.sumDistinct * totalLayers.toLong + profile.nDocs) * 6L
     val numBlocks = math.max(1, math.min(256,
       math.ceil(approxBytes.toDouble / config.blockTargetBytes).toInt))
 
-    val (blockBlobs, ptrs) = BlockCompactor.compact(
-      regularSupers.unionByName(commonSupers), Seq("layer", "bin"), numBlocks,
+    val (blockBlobs, ptrs) = BlockCompactor.compact(postings, Seq("layer", "bin"), numBlocks,
       bucket, s"$prefix/superposts")(r => (r.getInt(0), r.getInt(1)))
 
     val binPtrArr = Array.fill(totalLayers)(new Array[BinPointer](binsPerLayer))
@@ -99,7 +89,7 @@ object Builder {
     val headerBlob = s"$prefix/header"
     store.put(headerBlob, mht.serialize())
 
-    val indexBytes = store.list().filter(_.startsWith(prefix + "/")).map(store.size).sum
+    val indexBytes = (blockBlobs :+ headerBlob).map(store.size).sum
     BuiltSketch(headerBlob, totalLayers, lStar, binsPerLayer,
                 commonWords.length, profile, indexBytes)
   }

@@ -21,7 +21,7 @@ object CorpusWriter {
   /** Write `docs` (columns: doc_id Long, text String) into
     * `bucket` under `prefix`, as `numBlobs` newline-delimited blobs.
     * The target store must already be registered under `bucket` in
-    * [[CloudStorage.named]].
+    * [[CloudStorage.named]]. A text holding a `\n` fails the write.
     */
   def write(spark: SparkSession, docs: DataFrame, bucket: String, prefix: String,
             numBlobs: Int = 8): DataFrame = {
@@ -42,6 +42,10 @@ object CorpusWriter {
         it.foreach { row =>
           val id = row.getLong(0)
           val text = row.getString(1)
+          // A line break inside a text would split it into two documents
+          // when the blob is re-split by `Parsers.splitBlob`.
+          require(text.indexOf('\n') < 0, s"doc_id $id: text contains a line break, " +
+            "the document delimiter of corpus blobs")
           val bytes = text.getBytes("UTF-8")
           rows += ((id, blobName, buf.size().toLong, bytes.length, text))
           buf.write(bytes)

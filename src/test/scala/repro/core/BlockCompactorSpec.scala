@@ -1,8 +1,10 @@
 package repro.core
 
+import org.apache.spark.sql.functions.{col, hash, lit, pmod}
 import org.scalacheck.Gen
 
 import repro.{GenChecks, SparkSpec}
+import repro.cloudstore.{CloudStorage, FetchLedger, LocalCloudStorage, NetworkModel, RangeReq}
 import repro.corpus.{CorpusProfile, Parsers}
 
 class BlockCompactorSpec extends SparkSpec with GenChecks {
@@ -16,6 +18,44 @@ class BlockCompactorSpec extends SparkSpec with GenChecks {
     assert(e.getMessage.contains((1L << 31).toString))
     intercept[IllegalArgumentException](
       BlockCompactor.narrowOffset("ix/postings-3", Int.MaxValue.toLong, 1))
+  }
+
+  test("compact cuts each key's sorted, duplicate-free list from unordered rows") {
+    import spark.implicits._
+    val store = new LocalCloudStorage(NetworkModel())
+    CloudStorage.register("bc-compact", store)
+    try {
+      val rng = new scala.util.Random(5)
+      // A posting's length follows from its (blobId, offset), as in a corpus.
+      val distinct = (for {
+        k <- 0 until 20
+        _ <- 0 until 1 + rng.nextInt(30)
+        (b, o) = (rng.nextInt(3), rng.nextInt(60).toLong)
+      } yield (s"w$k", b, o, (o % 7).toInt)).distinct
+      val rows = rng.shuffle(distinct ++ distinct.filter(_ => rng.nextInt(3) == 0))
+      assert(rows.size > distinct.size)
+      val df = rows.toDF("word", "blobId", "offset", "length")
+      val numBlocks = 8
+      val (blobs, pointers) = BlockCompactor.compact(df, Seq("word"), numBlocks, "bc-compact",
+                                                     "ix/postings")(_.getString(0))
+
+      val want = distinct.groupBy(_._1).view
+        .mapValues(_.map { case (_, b, o, l) => Posting(b, o, l) }.sorted).toMap
+      assert(pointers.map(_._1).sorted.toSeq == want.keys.toSeq.sorted)
+      pointers.foreach { case (w, p) =>
+        val bytes = store.getRange(RangeReq(blobs(p.block), p.offset.toLong, p.length),
+                                   new FetchLedger)
+        assert(PostingsCodec.decode(bytes) == want(w), w)
+      }
+
+      // The partitions the keys hash to, by the expression `repartition` uses.
+      val pids = df.select(pmod(hash(col("word")), lit(numBlocks))).distinct().as[Int]
+        .collect().sorted
+      assert(pids.length >= 3)
+      assert(blobs.toSeq == pids.toSeq.map(pid => s"ix/postings-$pid"))
+      assert(store.list().sorted == blobs.toSeq.sorted)
+      assert(pointers.map(_._2.block).distinct.sorted.toSeq == blobs.indices)
+    } finally CloudStorage.unregister("bc-compact")
   }
 
   // Whitespace the tokenizer splits on, and tokens that only look like it:

@@ -84,4 +84,18 @@ class CorpusWriterSpec extends SparkSpec {
       }
     CloudStorage.unregister("cw-6")
   }
+
+  test("a document whose text holds a line break fails the write, naming its doc_id") {
+    import spark.implicits._
+    setup("cw-7")
+    try {
+      // Written, "a\nb" would be two documents to a full scan of its blob
+      // (offsets 0 and 2) but one to a keyword scan's range read.
+      val raw = Seq((3L, "a b"), (7L, "a\nb")).toDF("doc_id", "text")
+      val e = intercept[Exception](CorpusWriter.write(spark, raw, "cw-7", "c", numBlobs = 2))
+      val messages = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null)
+        .map(t => String.valueOf(t.getMessage))
+      assert(messages.exists(_.contains("doc_id 7")), e)
+    } finally CloudStorage.unregister("cw-7")
+  }
 }

@@ -88,10 +88,10 @@ object DocFetcher {
 
   /** The order in which [[fetchTopK]] samples `n` candidates: the
     * permutation `new Random(0xA17FA47L).shuffle(0 until n)`, drawn with
-    * the same `nextInt` sequence but on a primitive index array.
+    * the same `nextInt` sequence on a [[Lcg]] and a primitive index array.
     */
   private[core] def sampleOrder(n: Int): Array[Int] = {
-    val rng = new scala.util.Random(0xA17FA47L)
+    val rng = new Lcg(0xA17FA47L)
     val order = Array.range(0, n)
     var m = n
     while (m >= 2) {
@@ -100,6 +100,34 @@ object DocFetcher {
       m -= 1
     }
     order
+  }
+
+  /** `java.util.Random`'s documented generator on a plain field: the 48-bit
+    * linear congruential generator and `nextInt(bound)` exactly as that
+    * class specifies them, so the sequence is the same, without the
+    * compare-and-set `java.util.Random` pays on every draw.
+    */
+  private[core] final class Lcg(seed0: Long) {
+    private final val Multiplier = 0x5DEECE66DL
+    private final val Mask = (1L << 48) - 1
+    private var seed = (seed0 ^ Multiplier) & Mask
+
+    private def next31(): Int = {
+      seed = (seed * Multiplier + 0xBL) & Mask
+      (seed >>> 17).toInt
+    }
+
+    def nextInt(bound: Int): Int = {
+      if (bound <= 0) throw new IllegalArgumentException(s"bound $bound is not positive")
+      val m = bound - 1
+      var u = next31()
+      if ((bound & m) == 0) ((bound * u.toLong) >> 31).toInt
+      else {
+        var r = u % bound
+        while (u - r + m < 0) { u = next31(); r = u % bound }
+        r
+      }
+    }
   }
 
   /** The exact-match predicate for a single keyword. */

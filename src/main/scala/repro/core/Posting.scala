@@ -78,9 +78,41 @@ object Posting {
     Postings.prefix(keys, lengths, kept)
   }
 
-  /** Union of sorted, duplicate-free postings lists (superpost merge). */
-  def unionSorted(lists: Seq[IndexedSeq[Posting]]): Postings =
-    Postings.from(lists.flatten.distinct.sorted.toIndexedSeq)
+  /** Union of sorted, duplicate-free postings lists (superpost merge): a
+    * k-way merge on the packed keys that takes the smallest head key of
+    * the lists at each step. A key carries the same length in every list
+    * (it names one document), so the first list's length is kept.
+    */
+  def unionSorted(lists: Seq[IndexedSeq[Posting]]): Postings = {
+    val ps = lists.map(Postings.from).filter(_.nonEmpty).toArray
+    if (ps.length <= 1) return ps.headOption.getOrElse(Postings.empty)
+    val keys = new Array[Long](ps.map(_.size).sum)
+    val lengths = new Array[Int](keys.length)
+    val cursors = new Array[Int](ps.length)
+    var n = 0
+    var from = 0
+    while (from >= 0) {
+      from = -1
+      var j = 0
+      while (j < ps.length) {
+        val c = cursors(j)
+        if (c < ps(j).size && (from < 0 || ps(j).keys(c) < keys(n))) {
+          from = j; keys(n) = ps(j).keys(c); lengths(n) = ps(j).lengths(c)
+        }
+        j += 1
+      }
+      if (from >= 0) {
+        j = 0
+        while (j < ps.length) {
+          val c = cursors(j)
+          if (c < ps(j).size && ps(j).keys(c) == keys(n)) cursors(j) = c + 1
+          j += 1
+        }
+        n += 1
+      }
+    }
+    Postings.prefix(keys, lengths, n)
+  }
 }
 
 /** A sorted postings list in packed form: `keys(i)` is posting i's

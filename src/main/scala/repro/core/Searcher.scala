@@ -14,8 +14,11 @@ final case class SearchResult(docs: Vector[Doc], candidates: Int, fetched: Int,
   * needs exactly:
   *   1. L hash evaluations (no I/O) to get superpost pointers,
   *   2. ONE concurrent batch of range reads for the L superposts,
-  *   3. an intersection (no I/O),
-  *   4. one concurrent batch of document range reads, and
+  *   3. an intersection (no I/O), computed while the superposts are
+  *      decoded: the shortest is decoded in full, the others are streamed
+  *      past its keys ([[PostingsCodec.decodeIntersect]]),
+  *   4. one concurrent batch of document range reads (with top-K, of a
+  *      sample drawn by `java.util.Random`'s sequence, §IV-D), and
   *   5. an exact-match filter that removes all false positives.
   *
   * With `waitLayers < mht.layers` (built-in replication, §IV-G), step 2
@@ -82,10 +85,7 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
         toFetch.map { case (_, ptrs) => ptrs.map(_ => it.next()) }
     }
     val resolved = toFetch.map(_._1).zip(fetched).map { case (w, bytes) =>
-      w -> (bytes.map(PostingsCodec.decode) match {
-        case Seq(exact) => exact
-        case lists      => Posting.intersectSorted(lists)
-      })
+      w -> PostingsCodec.decodeIntersect(bytes)
     }.toMap
     plans.map { case (w, _) => w -> resolved.getOrElse(w, Postings.empty) }.toMap
   }

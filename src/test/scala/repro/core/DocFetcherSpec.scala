@@ -89,9 +89,17 @@ class DocFetcherSpec extends AnyFunSuite {
   }
 
   test("the top-K sample order is Random(0xA17FA47L).shuffle of the candidate indices") {
-    Seq(0, 1, 2, 17, 1000).foreach { n =>
+    Seq(0, 1, 2, 17, 1000, 1724, 4096).foreach { n =>
       val want = new scala.util.Random(0xA17FA47L).shuffle((0 until n).toVector)
       assert(DocFetcher.sampleOrder(n).toVector == want, s"n = $n")
+    }
+  }
+
+  test("Lcg.nextInt draws java.util.Random's sequence, rejection loop and power-of-two branch included") {
+    Seq(1 << 30, (1 << 30) + 1, Int.MaxValue, 1724).foreach { bound =>
+      val want = new java.util.Random(0xA17FA47L)
+      val got = new DocFetcher.Lcg(0xA17FA47L)
+      (0 until 10000).foreach(i => assert(got.nextInt(bound) == want.nextInt(bound), s"bound $bound, draw $i"))
     }
   }
 

@@ -114,4 +114,19 @@ class MhtSpec extends AnyFunSuite with GenChecks {
     // ~5 bytes per pointer at B*L = 10000 pointers => well under 100 KB
     assert(size < 100_000, s"header is $size bytes")
   }
+
+  test("a header whose bin pointer holds a ten-byte varint with bits above bit 63 is rejected") {
+    import PostingsCodec._
+    val out = new java.io.ByteArrayOutputStream()
+    out.write("AIRP1".getBytes("UTF-8"))
+    Seq(1L, 1L, 0L).foreach(writeVarLong(out, _)) // one layer of one bin, seed 0
+    writeVarLong(out, 1L); writeString(out, "blk-0")
+    writeVarLong(out, 1L); writeString(out, "docs-0")
+    writeVarLong(out, 1L) // the bin is not empty
+    writeVarLong(out, 0L) // block
+    out.write((0x85 +: Seq.fill(8)(0x80) :+ 0x03).map(_.toByte).toArray) // offset, 5 if truncated
+    writeVarLong(out, 7L) // length
+    writeVarLong(out, 0L) // no common words
+    intercept[IllegalArgumentException](Mht.deserialize(out.toByteArray))
+  }
 }

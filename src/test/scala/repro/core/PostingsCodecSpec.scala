@@ -187,4 +187,151 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
       assert(got == got.distinct.sorted)
     }
   }
+
+  /** The bytes `85 80 80 80 80 80 80 80 80 03`: a ten-byte varint whose
+    * last byte sets bits above bit 63. Dropping them would read 5.
+    */
+  private val overlongVarint: Array[Byte] =
+    (0x85 +: Seq.fill(8)(0x80) :+ 0x03).map(_.toByte).toArray
+
+  test("a ten-byte varint with bits above bit 63 is rejected, not read as 5") {
+    intercept[IllegalArgumentException](new PostingsCodec.Reader(overlongVarint).readVarLong())
+    intercept[IllegalArgumentException](new PostingsCodec.Reader(overlongVarint).readVarInt())
+    val out = new java.io.ByteArrayOutputStream()
+    PostingsCodec.writeVarLong(out, 1L) // count
+    PostingsCodec.writeVarLong(out, 0L) // blobId delta
+    PostingsCodec.writeVarLong(out, 0L) // offset
+    out.write(overlongVarint)           // length
+    intercept[IllegalArgumentException](PostingsCodec.decode(out.toByteArray))
+    intercept[IllegalArgumentException](
+      PostingsCodec.decodeIntersect(Seq(out.toByteArray, PostingsCodec.encode(Vector(Posting(0, 0, 5))))))
+  }
+
+  test("readVarInt rejects a ten-byte varint that reads as a negative Long") {
+    val minusTwo = (0xfe +: Seq.fill(8)(0xff) :+ 0x01).map(_.toByte).toArray
+    assert(new PostingsCodec.Reader(minusTwo).readVarLong() == -2L)
+    intercept[IllegalArgumentException](new PostingsCodec.Reader(minusTwo).readVarInt())
+  }
+
+  test("a truncated varint throws IllegalArgumentException") {
+    intercept[IllegalArgumentException](new PostingsCodec.Reader(Array(0x80.toByte)).readVarLong())
+    intercept[IllegalArgumentException](new PostingsCodec.Reader(Array.emptyByteArray).readVarInt())
+  }
+
+  test("decode rejects postings that are not strictly ascending") {
+    // Two postings in blob 0: offset 7, then an offset delta of -3 as a
+    // ten-byte varint, which would decode to offset 4.
+    val bytes = Seq(2L, 0L, 7L, 1L, 0L, -3L, 1L).flatMap(bytesOf).toArray
+    intercept[IllegalArgumentException](PostingsCodec.decode(bytes))
+  }
+
+  /** The varint bytes of `v`, negative values included (ten bytes). */
+  private def bytesOf(v0: Long): Array[Byte] = {
+    val out = new java.io.ByteArrayOutputStream()
+    var v = v0
+    while ((v & ~0x7fL) != 0) { out.write(((v & 0x7f) | 0x80).toInt); v >>>= 7 }
+    out.write(v.toInt)
+    out.toByteArray
+  }
+
+  /** Postings over three blobs whose length is a function of the key (one
+    * key, one document), each length under 128 so that a list's encoding
+    * ends in its last length's one byte.
+    */
+  private val pool: Vector[Posting] =
+    Vector.tabulate(3, 60)((b, o) => Posting(b, o.toLong * 11, (b * 31 + o) % 100 + 1)).flatten
+
+  private val genPoolList: Gen[Vector[Posting]] = for {
+    density <- Gen.oneOf(0.0, 0.05, 0.3, 0.7, 1.0)
+    picks <- Gen.listOfN(pool.size, Gen.choose(0.0, 1.0))
+  } yield pool.zip(picks).collect { case (p, x) if x < density => p }
+
+  private val genSuperposts: Gen[Seq[Vector[Posting]]] =
+    Gen.choose(1, 5).flatMap(n => Gen.listOfN(n, genPoolList))
+
+  private def sameKeysAndLengths(got: Postings, want: Postings, clue: Any): Unit = {
+    assert(got.keys.toSeq == want.keys.toSeq, clue)
+    assert(got.lengths.toSeq == want.lengths.toSeq, clue)
+  }
+
+  private def assertDecodeIntersect(lists: Seq[Vector[Posting]]): Unit = {
+    val bytes = lists.map(PostingsCodec.encode(_))
+    val want = Posting.intersectSorted(bytes.map(PostingsCodec.decode))
+    sameKeysAndLengths(PostingsCodec.decodeIntersect(bytes), want, lists.map(_.size))
+  }
+
+  test("decodeIntersect equals intersectSorted of the decoded superposts") {
+    forAllG(genSuperposts, trials = 300)(assertDecodeIntersect)
+    assert(PostingsCodec.decodeIntersect(Nil).isEmpty)
+  }
+
+  test("decodeIntersect: one list, an empty list, equal counts, the shortest list not first") {
+    val evens = pool.filter(_.offset % 22 == 0)
+    val odds = pool.filter(_.offset % 22 == 11)
+    val thirds = pool.filter(_.offset % 33 == 0)
+    val few = pool.filter(_.offset % 55 == 0)
+    val cases = Seq(
+      Seq(evens),
+      Seq(Vector.empty),
+      Seq(evens, Vector.empty, thirds),
+      Seq(evens, odds), // equal counts, disjoint
+      Seq(evens, evens.filter(_.blobId < 2) ++ odds.filter(_.blobId == 2)), // equal counts, overlap
+      Seq(evens, thirds, few),
+      Seq(thirds, few, evens),
+      Seq(pool, pool, pool))
+    cases.foreach(assertDecodeIntersect)
+    assert(PostingsCodec.decodeIntersect(Seq(PostingsCodec.encode(evens))) == evens)
+  }
+
+  /** The index of a list that decodeIntersect streams rather than decodes:
+    * one with more postings than the shortest.
+    */
+  private def streamed(lists: Seq[Vector[Posting]]): Option[Int] = {
+    val shortest = lists.map(_.size).min
+    Some(lists.indexWhere(_.size > shortest)).filter(_ >= 0)
+  }
+
+  test("decodeIntersect throws on a truncated streamed superpost") {
+    var checked = 0
+    forAllG(genSuperposts, trials = 300) { lists =>
+      streamed(lists).foreach { s =>
+        val bytes = lists.map(PostingsCodec.encode(_))
+        val cut = bytes.updated(s, bytes(s).dropRight(1))
+        intercept[IllegalArgumentException](PostingsCodec.decodeIntersect(cut))
+        checked += 1
+      }
+    }
+    assert(checked > 50, s"only $checked cases streamed a superpost")
+  }
+
+  test("decodeIntersect throws on a streamed superpost corrupt past the last common key") {
+    val short = Vector(pool(0), pool(1))
+    val long = pool.take(40)
+    val bytes = PostingsCodec.encode(long)
+    val corrupt = bytes.dropRight(1) ++ overlongVarint // the last posting's length
+    intercept[IllegalArgumentException](PostingsCodec.decode(corrupt))
+    intercept[IllegalArgumentException](
+      PostingsCodec.decodeIntersect(Seq(PostingsCodec.encode(short), corrupt)))
+    intercept[IllegalArgumentException](
+      PostingsCodec.decodeIntersect(Seq(corrupt, PostingsCodec.encode(Vector.empty))))
+    var checked = 0
+    forAllG(genSuperposts, trials = 300) { lists =>
+      streamed(lists).foreach { s =>
+        val bytes = lists.map(PostingsCodec.encode(_))
+        val bad = bytes.updated(s, bytes(s).dropRight(1) ++ overlongVarint)
+        intercept[IllegalArgumentException](PostingsCodec.decodeIntersect(bad))
+        checked += 1
+      }
+    }
+    assert(checked > 50, s"only $checked cases streamed a superpost")
+  }
+
+  test("unionSorted equals flatten.distinct.sorted, in keys and lengths") {
+    forAllG(Gen.choose(0, 5).flatMap(n => Gen.listOfN(n, genPoolList)), trials = 300) { lists =>
+      val want = Postings.from(lists.flatten.distinct.sorted.toIndexedSeq)
+      sameKeysAndLengths(Posting.unionSorted(lists), want, lists.map(_.size))
+      sameKeysAndLengths(Posting.unionSorted(lists.map(l => PostingsCodec.decode(PostingsCodec.encode(l)))),
+                         want, lists.map(_.size))
+    }
+  }
 }

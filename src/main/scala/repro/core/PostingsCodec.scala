@@ -114,7 +114,7 @@ object PostingsCodec {
     throw new IllegalArgumentException(s"$what $value")
 
   /** Decode a superpost previously produced by [[encode]] straight into
-    * packed keys; input that [[encode]] cannot have produced is rejected.
+    * packed keys, rejecting the malformed input [[readPostings]] lists.
     */
   def decode(bytes: Array[Byte]): Postings = {
     val count = postingCount(bytes)

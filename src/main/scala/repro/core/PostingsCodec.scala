@@ -57,6 +57,7 @@ object PostingsCodec {
     }
     def readString(): String = {
       val n = readVarInt()
+      if (n > remaining) malformed(s"string at byte $pos overruns the input by", n - remaining)
       val s = new String(bytes, pos, n, "UTF-8"); pos += n; s
     }
     def readPointer(): BinPointer = BinPointer(readVarInt(), readVarInt(), readVarInt())

@@ -14,7 +14,9 @@ import org.apache.spark.sql.functions._
   * @param nTerms         |W|, number of distinct words in the corpus
   * @param nWords         total number of word occurrences
   * @param distinctHist   |W_i| -> number of documents with that many distinct words
-  * @param topWords       most common words by document frequency, descending
+  * @param topWords       most common words by document frequency, descending,
+  *                       ties by word in UTF-8 byte order
+  * @param words          the corpus's distinct words, W (|W| = nTerms)
   */
 final case class CorpusProfile(
     nDocs: Long,
@@ -22,6 +24,7 @@ final case class CorpusProfile(
     nWords: Long,
     distinctHist: Map[Int, Long],
     topWords: Seq[(String, Long)],
+    words: Set[String],
 ) {
   require(nDocs > 0 && nTerms > 0, "profile of an empty corpus")
 
@@ -49,30 +52,71 @@ final case class CorpusProfile(
 
 object CorpusProfile {
 
-  /** Profile a corpus given as a DataFrame with `text` (and `doc_id`)
-    * columns. One shuffle per statistic family; all Catalyst (the paper's
-    * Builder equally makes a single profiling pass).
+  /** Profile a corpus given as a DataFrame with one document per row in its
+    * `text` column: one Spark query, one shuffle, one scan of `docs` (the
+    * paper's Builder equally makes a single profiling pass).
+    *
+    * Each document emits its distinct words plus one null word that stands
+    * for the document itself, carrying its |W_i| and token count. One
+    * aggregation by (word, |W_i| of the null word) then yields a row per
+    * word with its document frequency and a row per |W_i| with its document
+    * count and token sum; the driver reads every statistic off that collect.
+    * A document without a token emits nothing, so nDocs does not count it.
     *
     * @param maxTopWords how many common words to rank (≥ the number of
     *                    common-word bins the sketch will reserve)
     */
   def profile(spark: SparkSession, docs: DataFrame, maxTopWords: Int = 2000): CorpusProfile = {
-    import spark.implicits._
-    val words = docs.select($"doc_id", explode(Parsers.tokens($"text")) as "word")
-    words.cache()
-    try {
-      val nWords = words.count()
-      val nTerms = words.select("word").distinct().count()
-      val perDoc = words.groupBy("doc_id").agg(countDistinct("word") as "wi")
-      val hist = perDoc.groupBy("wi").count()
-        .as[(Long, Long)].collect().map { case (wi, c) => (wi.toInt, c) }.toMap
-      val nDocs = hist.values.sum
-      val top = words.distinct()
-        .groupBy("word").count()
-        .orderBy(desc("count"), asc("word"))
-        .limit(maxTopWords)
-        .as[(String, Long)].collect().toSeq
-      CorpusProfile(nDocs, nTerms, nWords, hist, top)
-    } finally words.unpersist()
+    val perDoc = docs.select(Parsers.tokens(col("text")) as "tokens")
+      .select(array_distinct(col("tokens")) as "distinct", size(col("tokens")) as "n")
+      .where(col("n") > 0)
+    val word = col("word")
+    val rows = perDoc
+      .select(explode(concat(col("distinct"), array(lit(null).cast("string")))) as "word",
+              size(col("distinct")) as "wi", col("n"))
+      .groupBy(word, when(word.isNull, col("wi")) as "wi")
+      .agg(count(lit(1)), sum(when(word.isNull, col("n"))))
+      .collect()
+
+    val hist = Map.newBuilder[Int, Long]
+    val docFreq = Array.newBuilder[(String, Long)]
+    var nWords = 0L
+    rows.foreach { r =>
+      if (r.isNullAt(0)) { hist += r.getInt(1) -> r.getLong(2); nWords += r.getLong(3) }
+      else docFreq += r.getString(0) -> r.getLong(2)
+    }
+    val distinctHist = hist.result()
+    val words = docFreq.result()
+    val top = words.sorted(ByFrequency).take(maxTopWords).toSeq
+    CorpusProfile(distinctHist.values.sum, words.length.toLong, nWords, distinctHist, top,
+                  words.iterator.map(_._1).toSet)
+  }
+
+  /** Descending document frequency, ties by word in UTF-8 byte order: the
+    * order Spark's `orderBy(desc(count), asc(word))` gives.
+    */
+  private val ByFrequency: Ordering[(String, Long)] = (a, b) => {
+    val byCount = java.lang.Long.compare(b._2, a._2)
+    if (byCount != 0) byCount else compareUtf8(a._1, b._1)
+  }
+
+  /** Compares strings as their UTF-8 bytes, i.e. by code point.
+    * `String.compareTo` compares UTF-16 units, which differs where a
+    * surrogate (a code point above U+FFFF) meets a unit in U+E000–U+FFFF.
+    */
+  private[corpus] def compareUtf8(a: String, b: String): Int = {
+    val n = math.min(a.length, b.length)
+    var i = 0
+    while (i < n) {
+      val x = a.charAt(i)
+      val y = b.charAt(i)
+      if (x != y) {
+        val sx = Character.isSurrogate(x)
+        if (sx != Character.isSurrogate(y)) return if (sx) 1 else -1
+        return x - y
+      }
+      i += 1
+    }
+    a.length - b.length
   }
 }

@@ -1,10 +1,9 @@
 package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
 
 import repro.cloudstore.{CloudStorage, LocalCloudStorage, NetworkModel}
-import repro.corpus.{CorpusGen, CorpusProfile, CorpusWriter, LogCorpusGen, Parsers}
+import repro.corpus.{CorpusGen, CorpusProfile, CorpusWriter, LogCorpusGen}
 
 /** A corpus materialised on (simulated) cloud storage, ready to index.
   *
@@ -30,16 +29,15 @@ final case class BuiltCorpus(
 /** Constructs benchmark corpora on fresh simulated buckets. */
 object Corpora {
 
-  /** Materialise a (doc_id, text) frame as a corpus: write blobs, profile,
-    * collect the vocabulary.
+  /** Materialise a (doc_id, text) frame as a corpus: write blobs, then
+    * profile it; the vocabulary is the profile's word set.
     */
   def materialize(spark: SparkSession, name: String, bucket: String, raw: DataFrame): BuiltCorpus = {
-    import spark.implicits._
     val store = new LocalCloudStorage(NetworkModel())
     CloudStorage.register(bucket, store)
     val docs = CorpusWriter.write(spark, raw, bucket, name)
     val profile = CorpusProfile.profile(spark, docs)
-    val vocab = docs.select(explode(Parsers.tokens($"text"))).distinct().as[String].collect().sorted
+    val vocab = profile.words.toArray.sorted
     BuiltCorpus(name, bucket, store, docs, profile, vocab)
   }
 

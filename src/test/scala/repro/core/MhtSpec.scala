@@ -129,4 +129,14 @@ class MhtSpec extends AnyFunSuite with GenChecks {
     writeVarLong(out, 0L) // no common words
     intercept[IllegalArgumentException](Mht.deserialize(out.toByteArray))
   }
+
+  test("a header cut inside its first block name is rejected with IllegalArgumentException") {
+    val bytes = new Mht(1, 1, Array(0), Array(Array[BinPointer](null)), Map.empty,
+                        Array("blk-0"), Array("docs-0")).serialize()
+    // magic, layers, bins, one seed, the block count, the name's length, then "bl"
+    val nameAt = "AIRP1".length + 4
+    assert(bytes(nameAt) == "blk-0".length)
+    val cut = java.util.Arrays.copyOf(bytes, nameAt + 1 + 2)
+    intercept[IllegalArgumentException](Mht.deserialize(cut))
+  }
 }

@@ -218,6 +218,13 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     intercept[IllegalArgumentException](new PostingsCodec.Reader(Array.emptyByteArray).readVarInt())
   }
 
+  test("a string longer than the bytes left throws IllegalArgumentException") {
+    intercept[IllegalArgumentException](new PostingsCodec.Reader(Array[Byte](5, 'a')).readString())
+    val r = new PostingsCodec.Reader(Array[Byte](1, 'a', 2, 'b'))
+    assert(r.readString() == "a")
+    intercept[IllegalArgumentException](r.readString())
+  }
+
   test("decode rejects postings that are not strictly ascending") {
     // Two postings in blob 0: offset 7, then an offset delta of -3 as a
     // ten-byte varint, which would decode to offset 4.

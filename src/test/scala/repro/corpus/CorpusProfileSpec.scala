@@ -1,11 +1,21 @@
 package repro.corpus
 
+import scala.collection.mutable.ArrayBuffer
+import scala.concurrent.duration._
+
+import org.apache.spark.sql.execution.QueryExecution
+import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
+import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
+import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.functions._
+import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalactic.Tolerance._
+import org.scalatest.concurrent.Eventually._
 
 import repro.{Oracle, SparkSpec}
+import repro.cloudstore.{CloudStorage, LocalCloudStorage, NetworkModel}
 
-class CorpusProfileSpec extends SparkSpec {
+class CorpusProfileSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   private lazy val docs = {
     import spark.implicits._
@@ -48,15 +58,89 @@ class CorpusProfileSpec extends SparkSpec {
 
   test("profile statistics agree with DuckDB over the exploded words relation") {
     import spark.implicits._
-    val words = docs
-      .select($"doc_id", explode(split($"text", "\\s+")) as "word")
-    val perDoc = words.groupBy("doc_id")
-      .agg(countDistinct("word") as "wi")
-      .select($"doc_id".cast("string") as "doc_id", $"wi".cast("string") as "wi")
-    Oracle.assertEquivalent(
-      perDoc,
-      "SELECT doc_id, CAST(COUNT(DISTINCT word) AS VARCHAR) AS wi FROM words GROUP BY doc_id",
+    val hand = Seq(
+      (10000L, " \t  "),                   // no token: not a document of nDocs
+      (10001L, "rep rep rep w3 rep"),        // repeated words
+      (10002L, "a\u001Cb x\u2003y rep"),     // not \s, so inside a word
+      (10003L, "\uFF21 \uD83D\uDE00 a\u001Cb"),
+      (10004L, "\uD83D\uDE00 \uFF21 \uFFFD"),
+    ).toDF("doc_id", "text")
+    val corpus = CorpusGen.zipf(spark, 300, 120, 6).union(hand)
+    val p = CorpusProfile.profile(spark, corpus, maxTopWords = Int.MaxValue)
+    assert(p.topWords.size == p.nTerms)
+
+    val stats = (
+      Seq(("nDocs", "", "", p.nDocs.toString), ("nWords", "", "", p.nWords.toString),
+          ("nTerms", "", "", p.nTerms.toString)) ++
+      p.distinctHist.toSeq.map { case (wi, c) => ("hist", wi.toString, "", c.toString) } ++
+      p.topWords.zipWithIndex.map { case ((w, df), i) => ("rank", (i + 1).toString, w, df.toString) } ++
+      p.words.toSeq.map(w => ("word", "", w, ""))
+    ).toDF("stat", "k", "word", "v")
+    val words = corpus.select($"doc_id", explode(Parsers.tokens($"text")) as "word")
+    Oracle.assertEquivalent(stats,
+      """SELECT 'nDocs' AS stat, '' AS k, '' AS word, CAST(COUNT(DISTINCT doc_id) AS VARCHAR) AS v FROM words
+        |UNION ALL SELECT 'nWords', '', '', CAST(COUNT(*) AS VARCHAR) FROM words
+        |UNION ALL SELECT 'nTerms', '', '', CAST(COUNT(DISTINCT word) AS VARCHAR) FROM words
+        |UNION ALL SELECT 'hist', CAST(wi AS VARCHAR), '', CAST(COUNT(*) AS VARCHAR)
+        |  FROM (SELECT doc_id, COUNT(DISTINCT word) AS wi FROM words GROUP BY doc_id) GROUP BY wi
+        |UNION ALL SELECT 'rank', CAST(ROW_NUMBER() OVER (ORDER BY df DESC, word ASC) AS VARCHAR), word,
+        |  CAST(df AS VARCHAR)
+        |  FROM (SELECT word, COUNT(DISTINCT doc_id) AS df FROM words GROUP BY word)
+        |UNION ALL SELECT DISTINCT 'word', '', word, '' FROM words""".stripMargin,
       "words" -> words)
+  }
+
+  test("ties in the ranking follow UTF-8 byte order, not UTF-16 order") {
+    import spark.implicits._
+    // U+FF21 is EF BC A1 in UTF-8, before U+1F600's F0 9F 98 80; in UTF-16
+    // it is FF21, after U+1F600's high surrogate D83D.
+    val docs = Seq((0L, "\uFF21 \uD83D\uDE00"), (1L, "\uD83D\uDE00 \uFF21")).toDF("doc_id", "text")
+    val p = CorpusProfile.profile(spark, docs, maxTopWords = 1)
+    assert(p.topWords == Seq(("\uFF21", 2L)))
+  }
+
+  test("compareUtf8 orders strings as their unsigned UTF-8 bytes") {
+    val chars = Seq("a", "z", "\u00E9", "\uD7FF", "\uE000", "\uFF21", "\uFFFF",
+                    "\uD800\uDC00", "\uD83D\uDE00", "\uDBFF\uDFFF")
+    val strings = for (a <- chars; b <- "" +: chars) yield a + b
+    def bytes(s: String): Array[Byte] = s.getBytes("UTF-8")
+    for (a <- strings; b <- strings) {
+      val want = java.util.Arrays.compareUnsigned(bytes(a), bytes(b)).sign
+      assert(CorpusProfile.compareUtf8(a, b).sign == want, s"$a vs $b")
+    }
+  }
+
+  test("the profile is one query with one shuffle over one scan of the corpus") {
+    val bucket = "profile-plan"
+    CloudStorage.register(bucket, new LocalCloudStorage(NetworkModel()))
+    val docs = CorpusWriter.write(spark, CorpusGen.unif(spark, 500, 200, 7), bucket, "corpus")
+    val marker = "corpus-profile-plan-marker"
+    val plans = ArrayBuffer.empty[QueryExecution]
+    val listener = new QueryExecutionListener {
+      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
+        plans.synchronized { plans += qe }
+      override def onFailure(funcName: String, qe: QueryExecution, e: Exception): Unit = ()
+    }
+    spark.listenerManager.register(listener)
+    try {
+      CorpusProfile.profile(spark, docs)
+      // Listener events arrive in order: once the marker's is in, so is the profile's.
+      spark.sql(s"SELECT '$marker'").collect()
+      val profiled = eventually(timeout(30.seconds)) {
+        val seen = plans.synchronized(plans.toList)
+        val at = seen.indexWhere(_.logical.toString.contains(marker))
+        assert(at >= 0)
+        seen.take(at)
+      }
+      assert(profiled.size == 1, profiled.map(_.executedPlan))
+      val plan = profiled.head.executedPlan
+      assert(collect(plan) { case e: ShuffleExchangeLike => e }.size == 1, plan)
+      assert(collect(plan) { case s: InMemoryTableScanExec => s }.size == 1, plan)
+    } finally {
+      spark.listenerManager.unregister(listener)
+      docs.unpersist()
+      CloudStorage.unregister(bucket)
+    }
   }
 
   test("profile of a bigger generated corpus is self-consistent") {

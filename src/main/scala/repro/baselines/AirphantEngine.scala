@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.cloudstore.{CloudStorage, FetchLedger}
-import repro.core.{Builder, IoUConfig, Posting, Searcher, SearchResult}
+import repro.core.{Builder, IoUConfig, Postings, Searcher, SearchResult}
 
 /** AIRPHANT itself, behind the common engine interface.
   *
@@ -21,7 +21,7 @@ final class AirphantEngine(
   /** The underlying Searcher (initializes: one header fetch). */
   val searcher = new Searcher(store, built.headerBlob)
 
-  override def lookup(word: String, ledger: FetchLedger): IndexedSeq[Posting] =
+  override def lookup(word: String, ledger: FetchLedger): Postings =
     searcher.lookup(word, ledger)
 
   override def search(word: String, topK: Option[Int]): SearchResult =

@@ -3,7 +3,7 @@ package repro.baselines
 import java.io.ByteArrayOutputStream
 
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{BinPointer, Posting, PostingsCodec, SearchResult}
+import repro.core.{BinPointer, Postings, PostingsCodec, SearchResult}
 
 /** SQLite-like baseline: a paged B-tree term index stored in a single
   * blob on cloud storage (§V-A0b: the paper uses SQLite "as a practical
@@ -137,7 +137,7 @@ final class BTreeIndex(
       case Leaf(es) => es
     }
 
-  override def lookup(word: String, ledger: FetchLedger): IndexedSeq[Posting] =
+  override def lookup(word: String, ledger: FetchLedger): Postings =
     built.readLeaf(store, leafFor(word, readPage(rootPageId, ledger), ledger), word, ledger)
 
   override def search(word: String, topK: Option[Int]): SearchResult =

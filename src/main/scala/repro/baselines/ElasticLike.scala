@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{Posting, SearchResult}
+import repro.core.{Postings, SearchResult}
 import scala.util.hashing.MurmurHash3
 
 /** Elasticsearch-like baseline. The paper deploys Elasticsearch over a
@@ -46,7 +46,7 @@ final class ElasticLike(
     }
   }
 
-  override def lookup(word: String, ledger: FetchLedger): IndexedSeq[Posting] = {
+  override def lookup(word: String, ledger: FetchLedger): Postings = {
     mountFaults(word, ledger)
     inner.lookup(word, ledger)
   }

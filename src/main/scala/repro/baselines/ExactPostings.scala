@@ -2,8 +2,7 @@ package repro.baselines
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{BinPointer, BlockCompactor, DocFetcher, Posting, Postings, PostingsCodec,
-                   SearchResult}
+import repro.core.{BinPointer, BlockCompactor, DocFetcher, Postings, PostingsCodec, SearchResult}
 
 /** Exact per-word postings lists persisted in compacted block blobs —
   * the storage substrate of every *non-statistical* baseline (skip list,
@@ -36,7 +35,7 @@ object ExactPostings {
       * (sorted by term), or none if the leaf does not hold it.
       */
     def readLeaf(store: CloudStorage, leaf: IndexedSeq[(String, BinPointer)], word: String,
-                 ledger: FetchLedger): IndexedSeq[Posting] = {
+                 ledger: FetchLedger): Postings = {
       val (term, ptr) = leaf(floor(leaf, word))
       if (term == word) read(store, ptr, ledger) else Postings.empty
     }
@@ -45,7 +44,7 @@ object ExactPostings {
       * false positives, so top-K samples with F0 = 0.
       */
     def search(store: CloudStorage, word: String, topK: Option[Int])
-              (lookup: FetchLedger => IndexedSeq[Posting]): SearchResult =
+              (lookup: FetchLedger => Postings): SearchResult =
       DocFetcher.search(store, docBlobs, DocFetcher.wordPredicate(word), topK, f0 = 0.0)(lookup)
   }
 
@@ -83,9 +82,9 @@ object ExactPostings {
   def build(spark: SparkSession, docs: DataFrame, bucket: String, prefix: String): Built = {
     import spark.implicits._
 
-    val (docBlobs, words) = BlockCompactor.tokenize(spark, docs)
+    val (docBlobs, numDocs, words) = BlockCompactor.tokenize(spark, docs)
 
-    val approxBytes = docs.count() * 40L // rough: distinct words/doc * posting bytes
+    val approxBytes = numDocs * 40L // rough: distinct words/doc * posting bytes
     val numBlocks = math.max(1, math.min(128,
       math.ceil(approxBytes.toDouble / BlockTargetBytes).toInt))
 

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.cloudstore.FetchLedger
-import repro.core.{Posting, SearchResult}
+import repro.core.{Postings, SearchResult}
 
 /** Common interface for all benchmarked engines (§V-A0b): AIRPHANT, the
   * Lucene-like skip list, the SQLite-like B-tree, the naïve hash table,
@@ -17,7 +17,7 @@ trait SearchEngine {
     * candidate postings list for `word`, accounting network cost into
     * `ledger`.
     */
-  def lookup(word: String, ledger: FetchLedger): IndexedSeq[Posting]
+  def lookup(word: String, ledger: FetchLedger): Postings
 
   /** End-to-end search: lookup, fetch documents, exact-filter. */
   def search(word: String, topK: Option[Int] = None): SearchResult

@@ -3,7 +3,7 @@ package repro.baselines
 import java.io.ByteArrayOutputStream
 
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
-import repro.core.{BinPointer, Posting, PostingsCodec, SearchResult}
+import repro.core.{BinPointer, Postings, PostingsCodec, SearchResult}
 
 /** Lucene-like baseline: a skip-list term index persisted on cloud
   * storage (§II-A: Lucene's term index is a skip list; §V-B0c attributes
@@ -79,7 +79,7 @@ final class SkipListIndex(
     entries
   }
 
-  override def lookup(word: String, ledger: FetchLedger): IndexedSeq[Posting] = {
+  override def lookup(word: String, ledger: FetchLedger): Postings = {
     // Descend from the in-memory top directory: ONE dependent range read
     // per level (modulo cache hits), then the postings read.
     var entries = topEntries

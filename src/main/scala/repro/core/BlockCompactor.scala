@@ -2,6 +2,8 @@ package repro.core
 
 import java.io.ByteArrayOutputStream
 
+import scala.collection.mutable
+
 import org.apache.spark.TaskContext
 import org.apache.spark.sql.{DataFrame, Encoder, Encoders, Row, SparkSession}
 import org.apache.spark.sql.functions._
@@ -21,19 +23,21 @@ object BlockCompactor {
   /** Tokenize the corpus frame (blob, offset, length, text).
     *
     * Returns the sorted document-blob string table (blob names compressed to
-    * int ids, §IV-C) and a frame of (blobId, offset, length, word) with one
-    * row per distinct word of each document. Words are [[Parsers.tokens]],
-    * the column form of [[Parsers.words]], so the exact filter sees the same
-    * tokens the index was built from.
+    * int ids, §IV-C), the number of documents, both from one query, and a
+    * frame of (blobId, offset, length, word) with one row per distinct word
+    * of each document. Words are [[Parsers.tokens]], the column form of
+    * [[Parsers.words]], so the exact filter sees the same tokens the index
+    * was built from.
     */
-  def tokenize(spark: SparkSession, docs: DataFrame): (Array[String], DataFrame) = {
+  def tokenize(spark: SparkSession, docs: DataFrame): (Array[String], Long, DataFrame) = {
     import spark.implicits._
-    val docBlobs = docs.select($"blob").distinct().as[String].collect().sorted
+    val perBlob = docs.groupBy($"blob").count().as[(String, Long)].collect()
+    val docBlobs = perBlob.map(_._1).sorted
     val bcBlobIdx = spark.sparkContext.broadcast(docBlobs.zipWithIndex.toMap)
     val blobId = udf((b: String) => bcBlobIdx.value(b))
     val words = docs.select(blobId($"blob") as "blobId", $"offset", $"length",
                             explode(array_distinct(Parsers.tokens($"text"))) as "word")
-    (docBlobs, words)
+    (docBlobs, perBlob.map(_._2).sum, words)
   }
 
   /** Pack `postings` — the `keys` columns plus blobId, offset and length,
@@ -42,9 +46,11 @@ object BlockCompactor {
     * The rows are hash-partitioned on `keys` into `numBlocks` partitions, so
     * every key lands in one block and the layout does not depend on what the
     * session ran before, and sorted on (keys, blobId, offset). Each partition
-    * cuts a postings list wherever the key changes, drops a posting equal to
-    * the one before it (two words that share a key and a document), encodes
-    * each list with [[PostingsCodec]] and writes them from the executor as
+    * cuts a postings list into packed key and length buffers wherever the
+    * key changes, drops a row whose posting key and length both equal the
+    * one before it (two words that share a key and a document; a same-key
+    * row with another length fails the encode), encodes each list with
+    * [[PostingsCodec]] and writes them from the executor as
     * one blob `<blobPrefix>-<partition>` in `bucket`. Only pointers travel
     * back to the driver.
     *
@@ -68,21 +74,24 @@ object BlockCompactor {
         val blob = s"$blobPrefix-$pid"
         val buf = new ByteArrayOutputStream()
         val out = Vector.newBuilder[(K, Int, Int, Int)]
-        val list = Vector.newBuilder[Posting]
+        val keys = new mutable.ArrayBuilder.ofLong
+        val lengths = new mutable.ArrayBuilder.ofInt
         var key: Option[K] = None
-        var last: Posting = null
+        var lastKey = -1L
+        var lastLength = -1
         def cut(): Unit = key.foreach { k =>
-          val bytes = PostingsCodec.encode(list.result())
+          val bytes = PostingsCodec.encode(new Postings(keys.result(), lengths.result()))
           out += ((k, pid, narrowOffset(blob, buf.size().toLong, bytes.length), bytes.length))
           buf.write(bytes, 0, bytes.length)
-          list.clear()
+          keys.clear(); lengths.clear()
         }
         it.foreach { row =>
           val k = keyOf(row)
-          if (!key.contains(k)) { cut(); key = Some(k); last = null }
-          val p = Posting(row.getInt(nKeys), row.getLong(nKeys + 1), row.getInt(nKeys + 2))
-          if (p != last) list += p
-          last = p
+          if (!key.contains(k)) { cut(); key = Some(k); lastKey = -1L }
+          val pk = Posting.pack(row.getInt(nKeys), row.getLong(nKeys + 1))
+          val length = row.getInt(nKeys + 2)
+          if (pk != lastKey || length != lastLength) { keys += pk; lengths += length }
+          lastKey = pk; lastLength = length
         }
         cut()
         val res = out.result()

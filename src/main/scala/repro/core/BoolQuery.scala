@@ -23,8 +23,8 @@ object BoolQuery {
   }
 
   /** Candidate postings via superpost set algebra. */
-  def candidates(q: BoolQuery, perTerm: Map[String, IndexedSeq[Posting]]): Postings = q match {
-    case Term(w) => Postings.from(perTerm(w))
+  def candidates(q: BoolQuery, perTerm: Map[String, Postings]): Postings = q match {
+    case Term(w) => perTerm(w)
     case And(qs) => Posting.intersectSorted(qs.map(candidates(_, perTerm)))
     case Or(qs)  => Posting.unionSorted(qs.map(candidates(_, perTerm)))
   }

@@ -64,7 +64,7 @@ object Builder {
       case None => Seq.tabulate(totalLayers)(l => (l, Hashing.bin(word, seeds(l), binsPerLayer)))
     })
 
-    val (docBlobs, words) = BlockCompactor.tokenize(spark, docs)
+    val (docBlobs, _, words) = BlockCompactor.tokenize(spark, docs)
     val postings = words.select(inline(keysOf($"word")).as(Seq("layer", "bin")),
                                 $"blobId", $"offset", $"length")
 

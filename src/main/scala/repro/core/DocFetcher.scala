@@ -2,6 +2,8 @@ package repro.core
 
 import java.nio.charset.StandardCharsets
 
+import scala.collection.immutable.ArraySeq
+
 import repro.cloudstore.{CloudStorage, FetchLedger, RangeReq}
 import repro.corpus.{Doc, DocRef, Parsers}
 
@@ -28,7 +30,7 @@ object DocFetcher {
     */
   def search(store: CloudStorage, docBlobs: Array[String], keep: String => Boolean,
              topK: Option[Int], f0: Double)
-            (lookup: FetchLedger => IndexedSeq[Posting]): SearchResult = {
+            (lookup: FetchLedger => Postings): SearchResult = {
     val ledger = new FetchLedger
     val candidates = lookup(ledger)
     val r = topK match {
@@ -39,15 +41,24 @@ object DocFetcher {
   }
 
   /** Fetch all `candidates` and keep those whose text satisfies `keep`. */
-  def fetchAndFilter(store: CloudStorage, docBlobs: Array[String],
-                     candidates: IndexedSeq[Posting], keep: String => Boolean,
-                     ledger: FetchLedger): Result = {
-    if (candidates.isEmpty) return Result(Vector.empty, 0, 0)
-    val reqs = candidates.map(p => RangeReq(docBlobs(p.blobId), p.offset, p.length))
+  def fetchAndFilter(store: CloudStorage, docBlobs: Array[String], candidates: Postings,
+                     keep: String => Boolean, ledger: FetchLedger): Result =
+    fetchAt(store, docBlobs, candidates, candidates.indices, keep, ledger)
+
+  /** Fetch the `candidates` at positions `at`, in that order, in one
+    * concurrent batch, and keep those whose text satisfies `keep`.
+    */
+  private def fetchAt(store: CloudStorage, docBlobs: Array[String], candidates: Postings,
+                      at: IndexedSeq[Int], keep: String => Boolean, ledger: FetchLedger): Result = {
+    if (at.isEmpty) return Result(Vector.empty, 0, 0)
+    val reqs = at.map { i =>
+      val key = candidates.keys(i)
+      RangeReq(docBlobs(Posting.blobIdOf(key)), Posting.offsetOf(key), candidates.lengths(i))
+    }
     val bytes = store.getRangesParallel(reqs, ledger)
     val docs = Vector.newBuilder[Doc]
     var kept = 0
-    candidates.indices.foreach { i =>
+    reqs.indices.foreach { i =>
       val text = new String(bytes(i), StandardCharsets.UTF_8)
       if (keep(text)) {
         kept += 1
@@ -55,79 +66,53 @@ object DocFetcher {
         docs += Doc(DocRef(r.blob, r.offset, r.length), text)
       }
     }
-    Result(docs.result(), candidates.size, candidates.size - kept)
+    Result(docs.result(), reqs.size, reqs.size - kept)
   }
 
-  /** Top-K variant (§IV-D): fetch a sampled prefix of size R_K (Eq. 6)
-    * first; in the (probability ≤ [[TopKDelta]]) event that it yields fewer
-    * than K relevant documents, fall back to fetching the remainder — recall
-    * is never sacrificed. The sample is a deterministic seeded shuffle so
-    * runs are reproducible.
+  /** Top-K variant (§IV-D): fetch a sample of size R_K (Eq. 6) first; in
+    * the (probability ≤ [[TopKDelta]]) event that it yields fewer than K
+    * relevant documents, fall back to fetching the remainder — recall is
+    * never sacrificed. The sample is a deterministic seeded shuffle so runs
+    * are reproducible.
     */
-  def fetchTopK(store: CloudStorage, docBlobs: Array[String],
-                candidates: IndexedSeq[Posting], keep: String => Boolean,
-                k: Int, f0: Double, ledger: FetchLedger): Result = {
+  def fetchTopK(store: CloudStorage, docBlobs: Array[String], candidates: Postings,
+                keep: String => Boolean, k: Int, f0: Double, ledger: FetchLedger): Result = {
     if (candidates.isEmpty) return Result(Vector.empty, 0, 0)
     val rk = IoUMath.topKSampleSize(k, candidates.size, f0, TopKDelta)
     if (rk >= candidates.size) {
       val r = fetchAndFilter(store, docBlobs, candidates, keep, ledger)
       return Result(r.docs.take(k), r.fetched, r.falsePositives)
     }
-    val order = sampleOrder(candidates.size)
-    def pick(from: Int, until: Int) = (from until until).map(i => candidates(order(i)))
-    val first = fetchAndFilter(store, docBlobs, pick(0, rk), keep, ledger)
+    val order = ArraySeq.unsafeWrapArray(sampleOrder(candidates.size, rk))
+    val first = fetchAt(store, docBlobs, candidates, order.take(rk), keep, ledger)
     if (first.docs.size >= k) {
       Result(first.docs.take(k), first.fetched, first.falsePositives)
     } else {
-      val rest = fetchAndFilter(store, docBlobs, pick(rk, order.length), keep, ledger)
+      val rest = fetchAt(store, docBlobs, candidates, order.drop(rk), keep, ledger)
       Result((first.docs ++ rest.docs).take(k),
              first.fetched + rest.fetched,
              first.falsePositives + rest.falsePositives)
     }
   }
 
-  /** The order in which [[fetchTopK]] samples `n` candidates: the
-    * permutation `new Random(0xA17FA47L).shuffle(0 until n)`, drawn with
-    * the same `nextInt` sequence on a [[Lcg]] and a primitive index array.
+  /** The order in which [[fetchTopK]] reads `n` candidates given a sample
+    * of `rk < n`: the sample first, then the rest. The sample is
+    * `new Random(0xA17FA47L).shuffle(0 until n).takeRight(rk).reverse`,
+    * drawn with only the first `rk` steps of that shuffle: step m swaps
+    * position m − 1 with a random one below it, so the first `rk` steps fix
+    * positions n − 1 down to n − rk. The array holds the shuffle's
+    * positions back to front, so those come first.
     */
-  private[core] def sampleOrder(n: Int): Array[Int] = {
-    val rng = new Lcg(0xA17FA47L)
-    val order = Array.range(0, n)
-    var m = n
-    while (m >= 2) {
-      val k = rng.nextInt(m)
-      val t = order(m - 1); order(m - 1) = order(k); order(k) = t
-      m -= 1
+  private[core] def sampleOrder(n: Int, rk: Int): Array[Int] = {
+    val rng = new java.util.Random(0xA17FA47L)
+    val order = Array.range(n - 1, -1, -1)
+    var i = 0
+    while (i < rk) {
+      val j = n - 1 - rng.nextInt(n - i)
+      val t = order(i); order(i) = order(j); order(j) = t
+      i += 1
     }
     order
-  }
-
-  /** `java.util.Random`'s documented generator on a plain field: the 48-bit
-    * linear congruential generator and `nextInt(bound)` exactly as that
-    * class specifies them, so the sequence is the same, without the
-    * compare-and-set `java.util.Random` pays on every draw.
-    */
-  private[core] final class Lcg(seed0: Long) {
-    private final val Multiplier = 0x5DEECE66DL
-    private final val Mask = (1L << 48) - 1
-    private var seed = (seed0 ^ Multiplier) & Mask
-
-    private def next31(): Int = {
-      seed = (seed * Multiplier + 0xBL) & Mask
-      (seed >>> 17).toInt
-    }
-
-    def nextInt(bound: Int): Int = {
-      if (bound <= 0) throw new IllegalArgumentException(s"bound $bound is not positive")
-      val m = bound - 1
-      var u = next31()
-      if ((bound & m) == 0) ((bound * u.toLong) >> 31).toInt
-      else {
-        var r = u % bound
-        while (u - r + m < 0) { u = next31(); r = u % bound }
-        r
-      }
-    }
   }
 
   /** The exact-match predicate for a single keyword. */

@@ -46,6 +46,8 @@ object Posting {
   /** Intersection of sorted, duplicate-free postings lists (the IoU in
     * IoU Sketch). Walks the smallest list and advances one cursor per
     * other list over the packed keys; stops when any cursor runs out.
+    * Takes `IndexedSeq[Posting]` rather than [[Postings]] only because
+    * perfbench's CPU replay calls it with that type.
     */
   def intersectSorted(lists: Seq[IndexedSeq[Posting]]): Postings = {
     if (lists.isEmpty) return Postings.empty
@@ -83,8 +85,8 @@ object Posting {
     * the lists at each step. A key carries the same length in every list
     * (it names one document), so the first list's length is kept.
     */
-  def unionSorted(lists: Seq[IndexedSeq[Posting]]): Postings = {
-    val ps = lists.map(Postings.from).filter(_.nonEmpty).toArray
+  def unionSorted(lists: Seq[Postings]): Postings = {
+    val ps = lists.filter(_.nonEmpty).toArray
     if (ps.length <= 1) return ps.headOption.getOrElse(Postings.empty)
     val keys = new Array[Long](ps.map(_.size).sum)
     val lengths = new Array[Int](keys.length)
@@ -116,10 +118,13 @@ object Posting {
 }
 
 /** A sorted postings list in packed form: `keys(i)` is posting i's
-  * [[Posting.key]] and `lengths(i)` its length. This is what superposts
-  * decode into and what the set algebra runs on; a [[Posting]] is built
-  * only when an element is read through the `IndexedSeq` interface.
-  * The arrays are shared, not copied: nothing may write to them.
+  * [[Posting.key]] and `lengths(i)` its length. The one postings type of
+  * the library: superposts decode into it and are encoded from it, the set
+  * algebra runs on it, every lookup returns it and the document fetch reads
+  * its ranges from it. A [[Posting]] is built only when an element is read
+  * through the `IndexedSeq` interface, which remains for perfbench's CPU
+  * replay and for tests. The arrays are shared, not copied: nothing may
+  * write to them.
   */
 final class Postings(val keys: Array[Long], val lengths: Array[Int])
     extends immutable.IndexedSeq[Posting] {
@@ -139,7 +144,9 @@ object Postings {
     if (n == keys.length) new Postings(keys, lengths)
     else new Postings(java.util.Arrays.copyOf(keys, n), java.util.Arrays.copyOf(lengths, n))
 
-  /** Packs a sorted postings list (no copy if it is packed already). */
+  /** Packs a sorted postings list (no copy if it is packed already): the
+    * input of [[Posting.intersectSorted]].
+    */
   def from(ps: IndexedSeq[Posting]): Postings = ps match {
     case p: Postings => p
     case _ =>

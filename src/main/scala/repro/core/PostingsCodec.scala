@@ -90,22 +90,21 @@ object PostingsCodec {
     * count, then per posting: blobId delta, offset (delta within the same
     * blob, absolute when the blob changes), length.
     */
-  def encode(postings: IndexedSeq[Posting]): Array[Byte] = {
-    val out = new ByteArrayOutputStream(postings.size * 4 + 8)
-    writeVarLong(out, postings.size.toLong)
-    var prevBlob = 0
-    var prevOffset = 0L
+  def encode(postings: Postings): Array[Byte] = {
+    val keys = postings.keys
+    val out = new ByteArrayOutputStream(keys.length * 4 + 8)
+    writeVarLong(out, keys.length.toLong)
+    var prev = 0L // the first posting's deltas are from blob 0, offset 0
     var i = 0
-    while (i < postings.size) {
-      val p = postings(i)
-      if (i > 0) require(postings(i - 1) < p, s"postings not strictly sorted at $i")
-      val blobDelta = p.blobId - prevBlob
+    while (i < keys.length) {
+      val key = keys(i)
+      require(if (i == 0) key >= 0 else key > prev, s"postings not strictly sorted at $i")
+      val blobDelta = Posting.blobIdOf(key) - Posting.blobIdOf(prev)
       writeVarLong(out, blobDelta.toLong)
-      val offBase = if (blobDelta == 0) prevOffset else 0L
-      writeVarLong(out, p.offset - offBase)
-      writeVarLong(out, p.length.toLong)
-      prevBlob = p.blobId
-      prevOffset = p.offset
+      val offBase = if (blobDelta == 0) Posting.offsetOf(prev) else 0L
+      writeVarLong(out, Posting.offsetOf(key) - offBase)
+      writeVarLong(out, postings.lengths(i).toLong)
+      prev = key
       i += 1
     }
     out.toByteArray

@@ -3,7 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 
 import repro.cloudstore.{FetchLedger, LocalCloudStorage, NetworkModel}
-import repro.core.{BinPointer, Posting, PostingsCodec}
+import repro.core.{BinPointer, Posting, Postings, PostingsCodec}
 
 /** Structural tests of the skip list and B-tree term indexes at real
   * depth: a 20k-term dictionary forces multiple levels, which the
@@ -21,7 +21,7 @@ class IndexStructureSpec extends AnyFunSuite {
     val pointers = Map.newBuilder[String, BinPointer]
     words.zipWithIndex.foreach { case (w, i) =>
       val ps = Vector.tabulate(i % 3 + 1)(j => Posting(0, (i * 3 + j).toLong * 100, 80))
-      val bytes = PostingsCodec.encode(ps)
+      val bytes = PostingsCodec.encode(Postings.from(ps))
       pointers += w -> BinPointer(0, buf.size(), bytes.length)
       buf.write(bytes, 0, bytes.length)
     }

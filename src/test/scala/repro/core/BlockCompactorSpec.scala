@@ -58,6 +58,29 @@ class BlockCompactorSpec extends SparkSpec with GenChecks {
     } finally CloudStorage.unregister("bc-compact")
   }
 
+  test("compact drops a repeated (key, posting) row but fails on one with another length") {
+    import spark.implicits._
+    val store = new LocalCloudStorage(NetworkModel())
+    CloudStorage.register("bc-dup", store)
+    try {
+      def compact(rows: Seq[(String, Int, Long, Int)]) =
+        BlockCompactor.compact(rows.toDF("word", "blobId", "offset", "length"), Seq("word"), 2,
+                               "bc-dup", "dup/postings")(_.getString(0))
+      val (blobs, pointers) = compact(Seq(("w", 0, 10L, 4), ("v", 0, 10L, 4), ("w", 1, 3L, 2),
+                                          ("w", 0, 10L, 4)))
+      val lists = pointers.toMap.view.mapValues { p =>
+        PostingsCodec.decode(store.getRange(RangeReq(blobs(p.block), p.offset.toLong, p.length),
+                                            new FetchLedger))
+      }.toMap
+      assert(lists == Map("w" -> Vector(Posting(0, 10, 4), Posting(1, 3, 2)),
+                          "v" -> Vector(Posting(0, 10, 4))))
+
+      val e = intercept[Exception](compact(Seq(("w", 0, 10L, 4), ("w", 0, 10L, 5))))
+      val causes = Iterator.iterate[Throwable](e)(_.getCause).takeWhile(_ != null).toList
+      assert(causes.exists(_.isInstanceOf[IllegalArgumentException]), causes)
+    } finally CloudStorage.unregister("bc-dup")
+  }
+
   // Whitespace the tokenizer splits on, and tokens that only look like it:
   // U+00A0 and U+2003 are not `\s`, so both tokenizers must keep them inside words.
   private val space = Gen.oneOf(" ", "  ", "   ", "\t", " \t ", "\r", "\f", "\u000B")
@@ -86,7 +109,8 @@ class BlockCompactorSpec extends SparkSpec with GenChecks {
     forAllG(Gen.listOfN(60, text), trials = 5) { texts =>
       val docs = texts.zipWithIndex.map { case (t, i) => (i.toLong, s"b${i % 3}", i.toLong, t.length, t) }
         .toDF("doc_id", "blob", "offset", "length", "text")
-      val (docBlobs, words) = BlockCompactor.tokenize(spark, docs)
+      val (docBlobs, numDocs, words) = BlockCompactor.tokenize(spark, docs)
+      assert(numDocs == texts.size)
       assert(docBlobs.toSeq == texts.indices.map(i => s"b${i % 3}").distinct.sorted)
       val got = words.select($"blobId", $"offset", $"word").as[(Int, Long, String)].collect()
       got.foreach { case (blobId, off, _) => assert(docBlobs(blobId) == s"b${off % 3}") }

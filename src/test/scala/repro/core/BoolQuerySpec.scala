@@ -9,12 +9,12 @@ import BoolQuery._
 class BoolQuerySpec extends AnyFunSuite with GenChecks {
 
   private val p = (i: Int) => Posting(0, i.toLong * 10, 5)
-  private val perTerm: Map[String, Vector[Posting]] = Map(
+  private val perTerm: Map[String, Postings] = Map(
     "a" -> Vector(1, 2, 3, 4).map(p),
     "b" -> Vector(3, 4, 5).map(p),
     "c" -> Vector(6).map(p),
     "d" -> Vector.empty,
-  )
+  ).view.mapValues(Postings.from).toMap
 
   test("terms collects every distinct term") {
     val q = Or(Seq(And(Seq(Term("a"), Term("b"))), Term("c"), Term("a")))

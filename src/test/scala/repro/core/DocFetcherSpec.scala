@@ -2,14 +2,16 @@ package repro.core
 
 import org.scalatest.funsuite.AnyFunSuite
 
-import repro.cloudstore.{FetchLedger, LocalCloudStorage, NetworkModel}
+import scala.collection.mutable.ArrayBuffer
+
+import repro.cloudstore.{CloudStorage, FetchLedger, LocalCloudStorage, NetworkModel, RangeReq}
 
 class DocFetcherSpec extends AnyFunSuite {
 
-  /** Tiny hand-built corpus blob: 20 docs, half contain "hit". */
-  private def fixture(): (LocalCloudStorage, Array[String], Vector[Posting]) = {
+  /** Tiny hand-built corpus blob: `n` docs, half contain "hit". */
+  private def fixture(n: Int = 20): (LocalCloudStorage, Array[String], Postings) = {
     val store = new LocalCloudStorage(NetworkModel())
-    val texts = (0 until 20).map(i => if (i % 2 == 0) s"hit doc$i" else s"miss doc$i")
+    val texts = (0 until n).map(i => if (i % 2 == 0) s"hit doc$i" else s"miss doc$i")
     val buf = new java.io.ByteArrayOutputStream()
     val postings = Vector.newBuilder[Posting]
     texts.foreach { t =>
@@ -18,7 +20,7 @@ class DocFetcherSpec extends AnyFunSuite {
       buf.write(b); buf.write('\n')
     }
     store.put("docs", buf.toByteArray)
-    (store, Array("docs"), postings.result())
+    (store, Array("docs"), Postings.from(postings.result()))
   }
 
   test("fetchAndFilter keeps exactly the matching documents") {
@@ -34,7 +36,7 @@ class DocFetcherSpec extends AnyFunSuite {
   test("fetchAndFilter of no candidates is free") {
     val (store, blobs, _) = fixture()
     val ledger = new FetchLedger
-    val r = DocFetcher.fetchAndFilter(store, blobs, Vector.empty,
+    val r = DocFetcher.fetchAndFilter(store, blobs, Postings.empty,
                                       DocFetcher.wordPredicate("hit"), ledger)
     assert(r.docs.isEmpty && r.fetched == 0 && ledger.stats.roundTripSteps == 0)
   }
@@ -88,18 +90,41 @@ class DocFetcherSpec extends AnyFunSuite {
     assert(run() == run())
   }
 
-  test("the top-K sample order is Random(0xA17FA47L).shuffle of the candidate indices") {
-    Seq(0, 1, 2, 17, 1000, 1724, 4096).foreach { n =>
-      val want = new scala.util.Random(0xA17FA47L).shuffle((0 until n).toVector)
-      assert(DocFetcher.sampleOrder(n).toVector == want, s"n = $n")
+  test("fetchTopK with fallback reads every candidate exactly once across the sample and the rest") {
+    val (inner, blobs, ps) = fixture(200)
+    val batches = ArrayBuffer.empty[Seq[RangeReq]]
+    val counting = new CloudStorage {
+      def put(name: String, bytes: Array[Byte]): Unit = inner.put(name, bytes)
+      def size(name: String): Long = inner.size(name)
+      def list(): Seq[String] = inner.list()
+      def get(name: String, ledger: FetchLedger): Array[Byte] = inner.get(name, ledger)
+      def getRange(req: RangeReq, ledger: FetchLedger): Array[Byte] = {
+        batches += Seq(req); inner.getRange(req, ledger)
+      }
+      def getRangesParallel(reqs: Seq[RangeReq], ledger: FetchLedger): Seq[Array[Byte]] = {
+        batches += reqs; inner.getRangesParallel(reqs, ledger)
+      }
+      def getRangesKofN(reqs: Seq[RangeReq], k: Int, ledger: FetchLedger): Seq[(Int, Array[Byte])] = {
+        batches += reqs; inner.getRangesKofN(reqs, k, ledger)
+      }
+      def getNoCost(name: String): Array[Byte] = inner.getNoCost(name)
     }
+    // Nothing matches, so the sample always falls short of K.
+    val k = 5
+    val r = DocFetcher.fetchTopK(counting, blobs, ps, _ => false, k, f0 = 1.0, new FetchLedger)
+    assert(r.docs.isEmpty && r.fetched == ps.size && r.falsePositives == ps.size)
+    val rk = IoUMath.topKSampleSize(k, ps.size, 1.0, DocFetcher.TopKDelta)
+    assert(batches.map(_.size) == Seq(rk, ps.size - rk))
+    assert(batches.flatten.map(q => (q.blob, q.offset, q.length)).sorted ==
+           ps.map(p => ("docs", p.offset, p.length)).sorted)
   }
 
-  test("Lcg.nextInt draws java.util.Random's sequence, rejection loop and power-of-two branch included") {
-    Seq(1 << 30, (1 << 30) + 1, Int.MaxValue, 1724).foreach { bound =>
-      val want = new java.util.Random(0xA17FA47L)
-      val got = new DocFetcher.Lcg(0xA17FA47L)
-      (0 until 10000).foreach(i => assert(got.nextInt(bound) == want.nextInt(bound), s"bound $bound, draw $i"))
+  test("the top-K sample is Random(0xA17FA47L).shuffle(0 until n).takeRight(rk).reverse") {
+    for (n <- Seq(2, 17, 1000, 1724, 4096); rk <- Seq(1, 23, n - 1).distinct if rk < n) {
+      val want = new scala.util.Random(0xA17FA47L).shuffle((0 until n).toVector).takeRight(rk).reverse
+      val order = DocFetcher.sampleOrder(n, rk)
+      assert(order.take(rk).toVector == want, s"n = $n, rk = $rk")
+      assert(order.sorted.toVector == (0 until n), s"n = $n, rk = $rk: the rest is not every other position")
     }
   }
 

@@ -3,16 +3,11 @@ package repro.core
 import java.io.ByteArrayOutputStream
 import java.util.zip.CRC32
 
-import scala.collection.mutable.ArrayBuffer
-import scala.concurrent.duration._
-
 import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.execution.{MapPartitionsExec, QueryExecution}
+import org.apache.spark.sql.execution.MapPartitionsExec
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
-import org.apache.spark.sql.util.QueryExecutionListener
-import org.scalatest.concurrent.Eventually._
 
 import repro.SparkSpec
 import repro.baselines.ExactPostings
@@ -57,24 +52,19 @@ class IndexBytesSpec extends SparkSpec with AdaptiveSparkPlanHelper {
 
   test("an Airphant build compacts in one shuffle over one scan of the corpus") {
     docs.count()
-    val plans = ArrayBuffer.empty[QueryExecution]
-    val listener = new QueryExecutionListener {
-      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
-        plans.synchronized { plans += qe }
-      override def onFailure(funcName: String, qe: QueryExecution, e: Exception): Unit = ()
-    }
-    spark.listenerManager.register(listener)
-    try {
-      Builder.build(spark, docs, bucket, "plan", small)
-      val compaction = eventually(timeout(30.seconds)) {
-        val found = plans.synchronized(plans.toList)
-          .filter(qe => find(qe.executedPlan)(_.isInstanceOf[MapPartitionsExec]).isDefined)
-        assert(found.size == 1)
-        found.head.executedPlan
-      }
-      assert(collect(compaction) { case e: ShuffleExchangeLike => e }.size == 1, compaction)
-      assert(collect(compaction) { case s: InMemoryTableScanExec => s }.size == 1, compaction)
-    } finally spark.listenerManager.unregister(listener)
+    val found = queriesOf(Builder.build(spark, docs, bucket, "plan", small))
+      .filter(qe => find(qe.executedPlan)(_.isInstanceOf[MapPartitionsExec]).isDefined)
+    assert(found.size == 1)
+    val compaction = found.head.executedPlan
+    assert(collect(compaction) { case e: ShuffleExchangeLike => e }.size == 1, compaction)
+    assert(collect(compaction) { case s: InMemoryTableScanExec => s }.size == 1, compaction)
+  }
+
+  test("an exact build runs two queries: the blob table with the document count, and the compaction") {
+    docs.count()
+    val queries = queriesOf(ExactPostings.build(spark, docs, bucket, "plan-exact"))
+    assert(queries.size == 2, queries.map(_.executedPlan).mkString("\n"))
+    assert(find(queries.last.executedPlan)(_.isInstanceOf[MapPartitionsExec]).isDefined)
   }
 
   test("every index blob and header is pinned: three sketch configs and the exact postings") {

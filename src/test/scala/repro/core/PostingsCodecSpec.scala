@@ -13,35 +13,39 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     len <- Gen.choose(0, 1 << 20)
   } yield Posting(blob, off, len)
 
+  private def packed(ps: Seq[Posting]): Postings = Postings.from(ps.toIndexedSeq)
+  private def encode(ps: Seq[Posting]): Array[Byte] = PostingsCodec.encode(packed(ps))
+
   private val genSorted: Gen[Vector[Posting]] =
     Gen.listOf(genPosting).map(ps =>
       ps.distinctBy(p => (p.blobId, p.offset)).sorted.toVector)
 
   test("encode/decode is the identity on sorted postings lists") {
     forAllG(genSorted, trials = 200) { ps =>
-      assert(PostingsCodec.decode(PostingsCodec.encode(ps)) == ps)
+      assert(PostingsCodec.decode(encode(ps)) == ps)
     }
   }
 
   test("empty list encodes to a single varint") {
-    val bytes = PostingsCodec.encode(Vector.empty)
+    val bytes = encode(Vector.empty)
     assert(bytes.length == 1)
     assert(PostingsCodec.decode(bytes).isEmpty)
   }
 
   test("encoding rejects unsorted input") {
     val bad = Vector(Posting(1, 10, 5), Posting(0, 0, 5))
-    intercept[IllegalArgumentException](PostingsCodec.encode(bad))
+    intercept[IllegalArgumentException](encode(bad))
+    intercept[IllegalArgumentException](PostingsCodec.encode(new Postings(Array(-1L), Array(5))))
   }
 
   test("encoding rejects duplicate postings") {
     val bad = Vector(Posting(0, 10, 5), Posting(0, 10, 5))
-    intercept[IllegalArgumentException](PostingsCodec.encode(bad))
+    intercept[IllegalArgumentException](encode(bad))
   }
 
   test("delta encoding is compact for dense same-blob postings") {
     val dense = Vector.tabulate(1000)(i => Posting(0, i.toLong * 120, 119))
-    val bytes = PostingsCodec.encode(dense)
+    val bytes = encode(dense)
     // ~3 bytes/posting (offset delta 120 + length 119 are 1-2 byte varints)
     assert(bytes.length < 5000, s"encoded ${bytes.length} bytes")
   }
@@ -95,14 +99,14 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
 
   test("decode rejects postings whose key would alias, accepts the largest packable ones") {
     val edge = Vector(Posting(0, (1L << 40) - 1, 7), Posting((1 << 23) - 1, (1L << 40) - 1, 9))
-    assert(PostingsCodec.decode(PostingsCodec.encode(edge)) == edge)
-    assert(Posting.unionSorted(Seq(edge.drop(1), edge.take(1), edge)) == edge)
+    assert(PostingsCodec.decode(encode(edge)) == edge)
+    assert(Posting.unionSorted(Seq(edge.drop(1), edge.take(1), edge).map(packed)) == edge)
     assert(Posting.intersectSorted(Seq(edge, edge.drop(1))) == edge.drop(1))
     val off = intercept[IllegalArgumentException](
-      PostingsCodec.decode(PostingsCodec.encode(Vector(Posting(3, 1L << 40, 1)))))
+      PostingsCodec.decode(encode(Vector(Posting(3, 1L << 40, 1)))))
     assert(off.getMessage.contains("offset") && off.getMessage.contains((1L << 40).toString))
     val blob = intercept[IllegalArgumentException](
-      PostingsCodec.decode(PostingsCodec.encode(Vector(Posting(0, 5, 1), Posting(1 << 23, 0, 1)))))
+      PostingsCodec.decode(encode(Vector(Posting(0, 5, 1), Posting(1 << 23, 0, 1)))))
     assert(blob.getMessage.contains("blobId") && blob.getMessage.contains((1 << 23).toString))
   }
 
@@ -169,12 +173,12 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
   test("mixed packed and boxed inputs: intersection and union equal the set algebra, sorted") {
     forAllG(Gen.listOfN(4, genSorted), trials = 100) { lists =>
       val mixed = lists.zipWithIndex.map { case (l, i) =>
-        if (i % 2 == 0) PostingsCodec.decode(PostingsCodec.encode(l)) else l
+        if (i % 2 == 0) PostingsCodec.decode(encode(l)) else l
       }
       val inter = Posting.intersectSorted(mixed)
       assert(inter.toSet == lists.map(_.toSet).reduce(_ intersect _))
       assert(inter == inter.sorted)
-      val union = Posting.unionSorted(mixed)
+      val union = Posting.unionSorted(mixed.map(packed))
       assert(union.toSet == lists.flatten.toSet)
       assert(union == union.distinct.sorted)
     }
@@ -182,7 +186,7 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
 
   test("unionSorted equals set union, sorted and duplicate-free") {
     forAllG(Gen.listOfN(3, genSorted), trials = 100) { lists =>
-      val got = Posting.unionSorted(lists.map(v => v: IndexedSeq[Posting]))
+      val got = Posting.unionSorted(lists.map(packed))
       assert(got.toSet == lists.flatten.toSet)
       assert(got == got.distinct.sorted)
     }
@@ -204,7 +208,7 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     out.write(overlongVarint)           // length
     intercept[IllegalArgumentException](PostingsCodec.decode(out.toByteArray))
     intercept[IllegalArgumentException](
-      PostingsCodec.decodeIntersect(Seq(out.toByteArray, PostingsCodec.encode(Vector(Posting(0, 0, 5))))))
+      PostingsCodec.decodeIntersect(Seq(out.toByteArray, encode(Vector(Posting(0, 0, 5))))))
   }
 
   test("readVarInt rejects a ten-byte varint that reads as a negative Long") {
@@ -262,7 +266,7 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
   }
 
   private def assertDecodeIntersect(lists: Seq[Vector[Posting]]): Unit = {
-    val bytes = lists.map(PostingsCodec.encode(_))
+    val bytes = lists.map(encode(_))
     val want = Posting.intersectSorted(bytes.map(PostingsCodec.decode))
     sameKeysAndLengths(PostingsCodec.decodeIntersect(bytes), want, lists.map(_.size))
   }
@@ -287,7 +291,7 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
       Seq(thirds, few, evens),
       Seq(pool, pool, pool))
     cases.foreach(assertDecodeIntersect)
-    assert(PostingsCodec.decodeIntersect(Seq(PostingsCodec.encode(evens))) == evens)
+    assert(PostingsCodec.decodeIntersect(Seq(encode(evens))) == evens)
   }
 
   /** The index of a list that decodeIntersect streams rather than decodes:
@@ -302,7 +306,7 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     var checked = 0
     forAllG(genSuperposts, trials = 300) { lists =>
       streamed(lists).foreach { s =>
-        val bytes = lists.map(PostingsCodec.encode(_))
+        val bytes = lists.map(encode(_))
         val cut = bytes.updated(s, bytes(s).dropRight(1))
         intercept[IllegalArgumentException](PostingsCodec.decodeIntersect(cut))
         checked += 1
@@ -314,17 +318,17 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
   test("decodeIntersect throws on a streamed superpost corrupt past the last common key") {
     val short = Vector(pool(0), pool(1))
     val long = pool.take(40)
-    val bytes = PostingsCodec.encode(long)
+    val bytes = encode(long)
     val corrupt = bytes.dropRight(1) ++ overlongVarint // the last posting's length
     intercept[IllegalArgumentException](PostingsCodec.decode(corrupt))
     intercept[IllegalArgumentException](
-      PostingsCodec.decodeIntersect(Seq(PostingsCodec.encode(short), corrupt)))
+      PostingsCodec.decodeIntersect(Seq(encode(short), corrupt)))
     intercept[IllegalArgumentException](
-      PostingsCodec.decodeIntersect(Seq(corrupt, PostingsCodec.encode(Vector.empty))))
+      PostingsCodec.decodeIntersect(Seq(corrupt, encode(Vector.empty))))
     var checked = 0
     forAllG(genSuperposts, trials = 300) { lists =>
       streamed(lists).foreach { s =>
-        val bytes = lists.map(PostingsCodec.encode(_))
+        val bytes = lists.map(encode(_))
         val bad = bytes.updated(s, bytes(s).dropRight(1) ++ overlongVarint)
         intercept[IllegalArgumentException](PostingsCodec.decodeIntersect(bad))
         checked += 1
@@ -336,8 +340,8 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
   test("unionSorted equals flatten.distinct.sorted, in keys and lengths") {
     forAllG(Gen.choose(0, 5).flatMap(n => Gen.listOfN(n, genPoolList)), trials = 300) { lists =>
       val want = Postings.from(lists.flatten.distinct.sorted.toIndexedSeq)
-      sameKeysAndLengths(Posting.unionSorted(lists), want, lists.map(_.size))
-      sameKeysAndLengths(Posting.unionSorted(lists.map(l => PostingsCodec.decode(PostingsCodec.encode(l)))),
+      sameKeysAndLengths(Posting.unionSorted(lists.map(packed)), want, lists.map(_.size))
+      sameKeysAndLengths(Posting.unionSorted(lists.map(l => PostingsCodec.decode(encode(l)))),
                          want, lists.map(_.size))
     }
   }

@@ -1,16 +1,10 @@
 package repro.corpus
 
-import scala.collection.mutable.ArrayBuffer
-import scala.concurrent.duration._
-
-import org.apache.spark.sql.execution.QueryExecution
 import org.apache.spark.sql.execution.adaptive.AdaptiveSparkPlanHelper
 import org.apache.spark.sql.execution.columnar.InMemoryTableScanExec
 import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.util.QueryExecutionListener
 import org.scalactic.Tolerance._
-import org.scalatest.concurrent.Eventually._
 
 import repro.{Oracle, SparkSpec}
 import repro.cloudstore.{CloudStorage, LocalCloudStorage, NetworkModel}
@@ -114,30 +108,13 @@ class CorpusProfileSpec extends SparkSpec with AdaptiveSparkPlanHelper {
     val bucket = "profile-plan"
     CloudStorage.register(bucket, new LocalCloudStorage(NetworkModel()))
     val docs = CorpusWriter.write(spark, CorpusGen.unif(spark, 500, 200, 7), bucket, "corpus")
-    val marker = "corpus-profile-plan-marker"
-    val plans = ArrayBuffer.empty[QueryExecution]
-    val listener = new QueryExecutionListener {
-      override def onSuccess(funcName: String, qe: QueryExecution, durationNs: Long): Unit =
-        plans.synchronized { plans += qe }
-      override def onFailure(funcName: String, qe: QueryExecution, e: Exception): Unit = ()
-    }
-    spark.listenerManager.register(listener)
     try {
-      CorpusProfile.profile(spark, docs)
-      // Listener events arrive in order: once the marker's is in, so is the profile's.
-      spark.sql(s"SELECT '$marker'").collect()
-      val profiled = eventually(timeout(30.seconds)) {
-        val seen = plans.synchronized(plans.toList)
-        val at = seen.indexWhere(_.logical.toString.contains(marker))
-        assert(at >= 0)
-        seen.take(at)
-      }
+      val profiled = queriesOf(CorpusProfile.profile(spark, docs))
       assert(profiled.size == 1, profiled.map(_.executedPlan))
       val plan = profiled.head.executedPlan
       assert(collect(plan) { case e: ShuffleExchangeLike => e }.size == 1, plan)
       assert(collect(plan) { case s: InMemoryTableScanExec => s }.size == 1, plan)
     } finally {
-      spark.listenerManager.unregister(listener)
       docs.unpersist()
       CloudStorage.unregister(bucket)
     }

@@ -74,10 +74,15 @@ final class Mht(
 }
 
 object Mht {
-  private val Magic: Array[Byte] = "AIRP1".getBytes("UTF-8")
+  /** Names the header format, and with it the superpost layout: AIRP1
+    * headers point at varint superposts, which this reader rejects.
+    */
+  private val Magic: Array[Byte] = "AIRP2".getBytes("UTF-8")
 
   def deserialize(bytes: Array[Byte]): Mht = {
-    require(bytes.take(Magic.length).sameElements(Magic), "bad MHT header magic")
+    val found = bytes.take(Magic.length)
+    require(found.sameElements(Magic),
+      s"MHT header magic '${new String(found, "UTF-8")}' is not '${new String(Magic, "UTF-8")}'")
     val r = new PostingsCodec.Reader(java.util.Arrays.copyOfRange(bytes, Magic.length, bytes.length))
     val layers = r.readVarInt()
     val binsPerLayer = r.readVarInt()

@@ -23,11 +23,11 @@ final case class Posting(blobId: Int, offset: Long, length: Int) extends Ordered
 }
 
 object Posting {
-  private final val OffsetBits = 40
+  private[core] final val OffsetBits = 40
   /** Exclusive bound on a packable offset (blobs under 1 TiB). */
-  private final val MaxOffset: Long = 1L << OffsetBits
+  private[core] final val MaxOffset: Long = 1L << OffsetBits
   /** Exclusive bound on a packable blob id (keeps every key non-negative). */
-  private final val MaxBlobId: Int = 1 << (63 - OffsetBits)
+  private[core] final val MaxBlobId: Int = 1 << (63 - OffsetBits)
 
   /** Packs (blobId, offset) into one `Long` key. Throws rather than let two
     * postings alias one key.

@@ -15,8 +15,10 @@ final case class SearchResult(docs: Vector[Doc], candidates: Int, fetched: Int,
   *   1. L hash evaluations (no I/O) to get superpost pointers,
   *   2. ONE concurrent batch of range reads for the L superposts,
   *   3. an intersection (no I/O), computed while the superposts are
-  *      decoded: the shortest is decoded in full, the others are streamed
-  *      past its keys ([[PostingsCodec.decodeIntersect]]),
+  *      decoded: a superpost equal in bytes to another is dropped, the
+  *      shortest is decoded in full, and the others are read keys only,
+  *      128-posting block by block, merging only the blocks whose key
+  *      range holds a candidate ([[PostingsCodec.decodeIntersect]]),
   *   4. one concurrent batch of document range reads (with top-K, of a
   *      sample drawn by `java.util.Random`'s sequence, §IV-D), and
   *   5. an exact-match filter that removes all false positives.

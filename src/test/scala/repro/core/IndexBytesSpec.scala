@@ -11,7 +11,7 @@ import org.apache.spark.sql.execution.exchange.ShuffleExchangeLike
 
 import repro.SparkSpec
 import repro.baselines.ExactPostings
-import repro.cloudstore.{CloudStorage, LocalCloudStorage, NetworkModel}
+import repro.cloudstore.{CloudStorage, FetchLedger, LocalCloudStorage, NetworkModel, RangeReq}
 import repro.corpus.{CorpusGen, CorpusWriter}
 import repro.exp.Engines
 
@@ -81,10 +81,54 @@ class IndexBytesSpec extends SparkSpec with AdaptiveSparkPlanHelper {
                          crcOfBlobs(exact.blockBlobs.toSeq))),
     )
     val want = Seq(
-      "default"     -> ((1048799193L, 255, 2126576883L)),
-      "extraLayers" -> ((1269485558L, 256, 2266544236L)),
-      "singleLayer" -> ((2556173075L, 162, 3229691841L)),
-      "exact"       -> ((1019016279L, 1, 3834100047L)),
+      "default"     -> ((1714771356L, 255, 4422430L)),
+      "extraLayers" -> ((2668175321L, 256, 3047560501L)),
+      "singleLayer" -> ((833602966L, 162, 1095232051L)),
+      "exact"       -> ((2700460037L, 1, 809729303L)),
+    )
+    assert(got == want)
+  }
+
+  /** One CRC32 over every list `pointers` name, in order: each list's
+    * posting count, then its keys, then its lengths.
+    */
+  private def crcOfLists(blockBlobs: Array[String], pointers: Seq[BinPointer]): Long = {
+    val c = new CRC32
+    pointers.foreach { p =>
+      val ps = PostingsCodec.decode(store.getRange(
+        RangeReq(blockBlobs(p.block), p.offset.toLong, p.length), new FetchLedger))
+      val buf = java.nio.ByteBuffer.allocate(4 + ps.size * 12)
+      buf.putInt(ps.size)
+      ps.keys.foreach(buf.putLong)
+      ps.lengths.foreach(buf.putInt)
+      c.update(buf.array())
+    }
+    c.getValue
+  }
+
+  /** The lists of a sketch build: every non-empty bin, layer by layer, then
+    * the common words in term order.
+    */
+  private def sketchLists(prefix: String, config: IoUConfig): Long = {
+    val mht = Mht.deserialize(store.getNoCost(Builder.build(spark, docs, bucket, prefix,
+                                                            config).headerBlob))
+    val bins = mht.binPointers.toSeq.flatMap(_.toSeq.filter(_ != null))
+    crcOfLists(mht.blockBlobs, bins ++ mht.commonWords.toSeq.sortBy(_._1).map(_._2))
+  }
+
+  test("every decoded index list is pinned: three sketch configs and the exact postings") {
+    val exact = ExactPostings.build(spark, docs, bucket, "lists-exact")
+    val got = Seq(
+      "default"     -> sketchLists("lists-default", small),
+      "extraLayers" -> sketchLists("lists-extra", small.copy(extraLayers = 1)),
+      "singleLayer" -> sketchLists("lists-single", small.copy(layersOverride = Some(1))),
+      "exact"       -> crcOfLists(exact.blockBlobs, exact.words.toSeq.map(exact.pointers)),
+    )
+    val want = Seq(
+      "default"     -> 3601557723L,
+      "extraLayers" -> 4040043425L,
+      "singleLayer" -> 2085576197L,
+      "exact"       -> 527324379L,
     )
     assert(got == want)
   }

@@ -50,6 +50,15 @@ class MhtSpec extends AnyFunSuite with GenChecks {
     intercept[IllegalArgumentException](Mht.deserialize("not a header".getBytes))
   }
 
+  test("a header of the varint superpost format is rejected by the magic it holds") {
+    val bytes = new Mht(1, 1, Array(0), Array(Array(BinPointer(0, 0, 4))), Map.empty,
+                        Array("blk-0"), Array("docs-0")).serialize()
+    assert(new String(bytes.take(5), "UTF-8") == "AIRP2")
+    val old = "AIRP1".getBytes("UTF-8") ++ bytes.drop(5)
+    val e = intercept[IllegalArgumentException](Mht.deserialize(old))
+    assert(e.getMessage.contains("'AIRP1'"), e.getMessage)
+  }
+
   test("negative hash seeds survive the round trip") {
     val mht = new Mht(2, 4, Array(-123456789, Int.MinValue),
                       Array.fill(2)(new Array[BinPointer](4)), Map.empty,
@@ -102,7 +111,7 @@ class MhtSpec extends AnyFunSuite with GenChecks {
                       Array("blk-0", "blk-1"), Array("docs-0", "docs-1", "docs-2"))
     val crc = new java.util.zip.CRC32
     crc.update(mht.serialize())
-    assert(crc.getValue == 3628117636L)
+    assert(crc.getValue == 3833888104L)
   }
 
   test("header stays small: O(B) bytes (paper: ~2 MB at B = 1e5)") {
@@ -118,7 +127,7 @@ class MhtSpec extends AnyFunSuite with GenChecks {
   test("a header whose bin pointer holds a ten-byte varint with bits above bit 63 is rejected") {
     import PostingsCodec._
     val out = new java.io.ByteArrayOutputStream()
-    out.write("AIRP1".getBytes("UTF-8"))
+    out.write("AIRP2".getBytes("UTF-8"))
     Seq(1L, 1L, 0L).foreach(writeVarLong(out, _)) // one layer of one bin, seed 0
     writeVarLong(out, 1L); writeString(out, "blk-0")
     writeVarLong(out, 1L); writeString(out, "docs-0")
@@ -134,7 +143,7 @@ class MhtSpec extends AnyFunSuite with GenChecks {
     val bytes = new Mht(1, 1, Array(0), Array(Array[BinPointer](null)), Map.empty,
                         Array("blk-0"), Array("docs-0")).serialize()
     // magic, layers, bins, one seed, the block count, the name's length, then "bl"
-    val nameAt = "AIRP1".length + 4
+    val nameAt = "AIRP2".length + 4
     assert(bytes(nameAt) == "blk-0".length)
     val cut = java.util.Arrays.copyOf(bytes, nameAt + 1 + 2)
     intercept[IllegalArgumentException](Mht.deserialize(cut))

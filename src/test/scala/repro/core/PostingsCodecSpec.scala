@@ -116,14 +116,13 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     intercept[IllegalArgumentException](PostingsCodec.decode(out.toByteArray))
   }
 
-  test("decode rejects a length whose varint decodes negative") {
-    val out = new java.io.ByteArrayOutputStream()
-    PostingsCodec.writeVarLong(out, 1L) // count
-    PostingsCodec.writeVarLong(out, 0L) // blobId delta
-    PostingsCodec.writeVarLong(out, 0L) // offset
-    out.write(Array.fill(9)(0xff.toByte) :+ 0x01.toByte) // 10-byte varint of -1
-    val e = intercept[IllegalArgumentException](PostingsCodec.decode(out.toByteArray))
-    assert(e.getMessage.contains("length -1"))
+  test("decode rejects a length width above 31 bits, which would let a length decode negative") {
+    val bytes = superpost(1, block(step = 0, span = 0, keyWidth = 0, lengthWidth = 32,
+                                   lengths = Seq(0xffffffffL)))
+    val e = intercept[IllegalArgumentException](PostingsCodec.decode(bytes))
+    assert(e.getMessage.contains("length width 32"))
+    assert(PostingsCodec.decode(superpost(1, block(0, 0, 0, 31, lengths = Seq(Int.MaxValue.toLong))))
+             == Vector(Posting(0, 0, Int.MaxValue)))
   }
 
   test("posting rejects negative fields") {
@@ -203,9 +202,8 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     intercept[IllegalArgumentException](new PostingsCodec.Reader(overlongVarint).readVarInt())
     val out = new java.io.ByteArrayOutputStream()
     PostingsCodec.writeVarLong(out, 1L) // count
-    PostingsCodec.writeVarLong(out, 0L) // blobId delta
-    PostingsCodec.writeVarLong(out, 0L) // offset
-    out.write(overlongVarint)           // length
+    out.write(overlongVarint)           // the block's first key
+    Seq(0L, 0L, 0L, 0L).foreach(PostingsCodec.writeVarLong(out, _)) // span, widths, patches
     intercept[IllegalArgumentException](PostingsCodec.decode(out.toByteArray))
     intercept[IllegalArgumentException](
       PostingsCodec.decodeIntersect(Seq(out.toByteArray, encode(Vector(Posting(0, 0, 5))))))
@@ -230,10 +228,13 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
   }
 
   test("decode rejects postings that are not strictly ascending") {
-    // Two postings in blob 0: offset 7, then an offset delta of -3 as a
-    // ten-byte varint, which would decode to offset 4.
-    val bytes = Seq(2L, 0L, 7L, 1L, 0L, -3L, 1L).flatMap(bytesOf).toArray
-    intercept[IllegalArgumentException](PostingsCodec.decode(bytes))
+    // Two blocks whose second starts at the first one's last key: 0..127, then 127.
+    val bytes = superpost(129, block(step = 0, span = 127, keyWidth = 0, lengthWidth = 0),
+                               block(step = 0, span = 0, keyWidth = 0, lengthWidth = 0))
+    val e = intercept[IllegalArgumentException](PostingsCodec.decode(bytes))
+    assert(e.getMessage.contains("not above the previous block's last key"))
+    assert(PostingsCodec.decode(superpost(129, block(0, 127, 0, 0), block(1, 0, 0, 0))).map(_.offset)
+             == (0L to 128L))
   }
 
   /** The varint bytes of `v`, negative values included (ten bytes). */
@@ -245,12 +246,33 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     out.toByteArray
   }
 
+  /** A superpost of `count` postings made of the given blocks. */
+  private def superpost(count: Int, blocks: Array[Byte]*): Array[Byte] =
+    (bytesOf(count.toLong) +: blocks).flatten.toArray
+
+  /** One block in the layout of [[PostingsCodec.encode]], fields as given:
+    * `patches` are (position gap less one, blob delta less one, offset),
+    * `deltas` the packed key deltas, `lengths` the packed lengths.
+    */
+  private def block(step: Long, span: Long, keyWidth: Int, lengthWidth: Int,
+                    patches: Seq[(Long, Long, Long)] = Nil, deltas: Seq[Long] = Nil,
+                    lengths: Seq[Long] = Nil): Array[Byte] = {
+    val header = Seq(step, span, keyWidth.toLong, lengthWidth.toLong, patches.size.toLong) ++
+      patches.flatMap { case (g, b, o) => Seq(g, b, o) }
+    header.flatMap(bytesOf).toArray ++ bitPacked(deltas, keyWidth) ++ bitPacked(lengths, lengthWidth)
+  }
+
+  /** `values` packed at `width` bits each, low bit first. */
+  private def bitPacked(values: Seq[Long], width: Int): Array[Byte] = {
+    val bits = values.flatMap(v => (0 until width).map(b => (v >>> b & 1L) == 1L))
+    bits.grouped(8).map(_.zipWithIndex.map { case (on, b) => if (on) 1 << b else 0 }.sum.toByte).toArray
+  }
+
   /** Postings over three blobs whose length is a function of the key (one
-    * key, one document), each length under 128 so that a list's encoding
-    * ends in its last length's one byte.
+    * key, one document); a list of them spans up to five blocks.
     */
   private val pool: Vector[Posting] =
-    Vector.tabulate(3, 60)((b, o) => Posting(b, o.toLong * 11, (b * 31 + o) % 100 + 1)).flatten
+    Vector.tabulate(3, 200)((b, o) => Posting(b, o.toLong * 11, (b * 31 + o) % 100 + 1)).flatten
 
   private val genPoolList: Gen[Vector[Posting]] = for {
     density <- Gen.oneOf(0.0, 0.05, 0.3, 0.7, 1.0)
@@ -317,9 +339,8 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
 
   test("decodeIntersect throws on a streamed superpost corrupt past the last common key") {
     val short = Vector(pool(0), pool(1))
-    val long = pool.take(40)
-    val bytes = encode(long)
-    val corrupt = bytes.dropRight(1) ++ overlongVarint // the last posting's length
+    val long = pool.take(400)
+    val corrupt = encode(long) :+ 0.toByte // a byte after the last block
     intercept[IllegalArgumentException](PostingsCodec.decode(corrupt))
     intercept[IllegalArgumentException](
       PostingsCodec.decodeIntersect(Seq(encode(short), corrupt)))
@@ -329,12 +350,106 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     forAllG(genSuperposts, trials = 300) { lists =>
       streamed(lists).foreach { s =>
         val bytes = lists.map(encode(_))
-        val bad = bytes.updated(s, bytes(s).dropRight(1) ++ overlongVarint)
+        val bad = bytes.updated(s, bytes(s) :+ 0.toByte)
         intercept[IllegalArgumentException](PostingsCodec.decodeIntersect(bad))
         checked += 1
       }
     }
     assert(checked > 50, s"only $checked cases streamed a superpost")
+  }
+
+  /** Lists of `n` postings with a blob switch at every posting, keys up to
+    * blob 2^23 − 1 and offset 2^40 − 1, and lengths up to `Int.MaxValue`.
+    */
+  private def genEdgeList(n: Int): Gen[Vector[Posting]] = {
+    val maxBlob = (1 << 23) - 1
+    val maxOff = (1L << 40) - 1
+    val genLength = Gen.oneOf(Gen.const(Int.MaxValue), Gen.const(0), Gen.choose(0, Int.MaxValue))
+    val genStep = Gen.frequency(3 -> Gen.const(1L), 3 -> Gen.choose(1L, 1000L),
+                                1 -> Gen.choose(1L, 1L << 39), 1 -> Gen.const(-1L))
+    for {
+      steps <- Gen.listOfN(n, genStep)
+      lengths <- Gen.listOfN(n, genLength)
+      top <- Gen.oneOf(true, false)
+    } yield {
+      // A step of -1 moves to the next blob; the others are offset steps.
+      val keys = steps.scanLeft((0, -1L)) { case ((b, o), st) =>
+        if (st < 0 || o + st > maxOff) (b + 1, 0L) else (b, o + st)
+      }.tail
+      val shift = if (top) maxBlob - keys.lastOption.fold(0)(_._1) else 0
+      val ps = keys.zip(lengths).map { case ((b, o), l) => Posting(b + shift, o, l) }.toVector
+      if (top && ps.nonEmpty) ps.init :+ ps.last.copy(offset = math.max(ps.last.offset, maxOff))
+      else ps
+    }
+  }
+
+  test("encode/decode is a bijection over 0, 1, 127, 128, 129 and 257 postings, at every edge") {
+    val maxOff = (1L << 40) - 1
+    val everySwitch = (n: Int) => Vector.tabulate(n)(i => Posting(i, if (i % 2 == 0) maxOff else 0L, i))
+    val top = Vector(Posting(0, 0, 0), Posting(0, maxOff, Int.MaxValue),
+                     Posting((1 << 23) - 1, 0, 1), Posting((1 << 23) - 1, maxOff, Int.MaxValue))
+    Seq(0, 1, 127, 128, 129, 257).foreach { n =>
+      forAllG(genEdgeList(n), trials = 30) { ps =>
+        assert(ps.size == n && ps == ps.sorted && ps.distinctBy(_.key).size == n)
+        val bytes = encode(ps)
+        sameKeysAndLengths(PostingsCodec.decode(bytes), packed(ps), n)
+        assert(PostingsCodec.encode(PostingsCodec.decode(bytes)).sameElements(bytes))
+      }
+      val switched = everySwitch(n)
+      assert(PostingsCodec.decode(encode(switched)) == switched, n)
+    }
+    assert(PostingsCodec.decode(encode(top)) == top)
+  }
+
+  test("decode rejects every fault of a block header, a patch and a packed section") {
+    def rejects(bytes: Array[Byte], what: String): Unit = {
+      val e = intercept[IllegalArgumentException](PostingsCodec.decode(bytes))
+      assert(e.getMessage.contains(what), e.getMessage)
+    }
+    // Valid: offsets 0, 3 and 7 in blob 0, then blob 2 at offset 5; lengths 1, 2, 3, 4.
+    val key = (2L << 40) | 5
+    val ok = block(step = 0, span = key, keyWidth = 2, lengthWidth = 3, patches = Seq((2L, 1L, 5L)),
+                   deltas = Seq(2, 3, 0), lengths = Seq(1, 2, 3, 4))
+    assert(PostingsCodec.decode(superpost(4, ok)) ==
+             Vector(Posting(0, 0, 1), Posting(0, 3, 2), Posting(0, 7, 3), Posting(2, 5, 4)))
+    rejects(superpost(4, ok).dropRight(1), "truncated")
+    rejects(superpost(4, ok) :+ 0.toByte, "trailing bytes")
+    rejects(superpost(4, block(0, key, 41, 3, Seq((2L, 1L, 5L)))), "key width 41")
+    rejects(superpost(4, block(0, key, 2, 32, Seq((2L, 1L, 5L)))), "length width 32")
+    rejects(superpost(4, block(0, key, 2, 3, Seq((3L, 1L, 5L)), Seq(2, 3, 0), Seq(1, 2, 3, 4))),
+            "patch at 4")
+    rejects(superpost(4, block(0, key, 2, 3, Seq((2L, 1L, 1L << 40)), Seq(2, 3, 0), Seq(1, 2, 3, 4))),
+            "patch has offset")
+    rejects(superpost(4, block(0, key, 2, 3, Seq((2L, 1L << 23, 5L)), Seq(2, 3, 0), Seq(1, 2, 3, 4))),
+            "patch moves to blob")
+    rejects(superpost(4, block(0, key, 2, 3, Seq.fill(4)((0L, 0L, 0L)), Seq(2, 3, 0), Seq(1, 2, 3, 4))),
+            "has patches: 4")
+    rejects(superpost(4, block(0, key + 1, 2, 3, Seq((2L, 1L, 5L)), Seq(2, 3, 0), Seq(1, 2, 3, 4))),
+            "disagrees with its span")
+    // Offset 2^40 - 1, then a delta of one.
+    rejects(superpost(2, block((1L << 40) - 1, 1, 0, 0)), "past 2^40")
+  }
+
+  test("decodeIntersect checks a faulty block that no candidate reaches") {
+    // One candidate, key 5; the streamed list is 0..255 in two blocks, then a third block.
+    val candidate = encode(Vector(Posting(0, 5, 1)))
+    def streamedList(last: Array[Byte]): Array[Byte] =
+      superpost(258, block(0, 127, 0, 0), block(1, 127, 0, 0), last)
+    val valid = streamedList(block(1000, 1, 0, 0))
+    assert(PostingsCodec.decodeIntersect(Seq(candidate, valid)) == Vector(Posting(0, 5, 1)))
+    assert(PostingsCodec.decode(valid).map(_.offset).takeRight(2) == Seq(1255L, 1256L))
+    Seq(block(1000, 2, 0, 0) -> "disagrees with its span",             // span 2, keys step by 1
+        block((1L << 40) - 256, 1, 0, 0) -> "past 2^40",                 // offset 2^40 - 1, then + 1
+        block(1000, 1, 41, 0) -> "key width 41",
+        block(1000, 1, 0, 0, Seq((1L, 0L, 0L))) -> "patch at 2",
+        block(0, 1, 0, 0) -> "not above the previous block's last key",
+        (block(1000, 1, 0, 0) :+ 0.toByte) -> "trailing bytes",
+        block(1000, 1, 0, 1, lengths = Seq(1L, 1L)).dropRight(1) -> "truncated",
+    ).foreach { case (bad, what) =>
+      val e = intercept[IllegalArgumentException](
+        PostingsCodec.decodeIntersect(Seq(candidate, streamedList(bad))))
+      assert(e.getMessage.contains(what), e.getMessage)
+    }
   }
 
   test("unionSorted equals flatten.distinct.sorted, in keys and lengths") {

@@ -116,7 +116,7 @@ class PostingsCodecSpec extends AnyFunSuite with GenChecks {
     intercept[IllegalArgumentException](PostingsCodec.decode(out.toByteArray))
   }
 
-  test("decode rejects a length width above 31 bits, which would let a length decode negative") {
+  test("decode rejects a length width over 31 bits (a negative length)") {
     val bytes = superpost(1, block(step = 0, span = 0, keyWidth = 0, lengthWidth = 32,
                                    lengths = Seq(0xffffffffL)))
     val e = intercept[IllegalArgumentException](PostingsCodec.decode(bytes))

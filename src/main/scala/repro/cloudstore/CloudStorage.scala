@@ -1,6 +1,8 @@
 package repro.cloudstore
 
 import java.util.concurrent.ConcurrentHashMap
+
+import scala.collection.immutable.ArraySeq
 import scala.jdk.CollectionConverters._
 
 /** One byte-range request against a named blob — the unit of the paper's
@@ -36,28 +38,37 @@ trait CloudStorage {
   /** Total stored bytes — used for the paper's index-storage-size results. */
   def totalBytes: Long = list().map(size).sum
 
-  /** Read a whole blob as one request. */
-  def get(name: String, ledger: FetchLedger): Array[Byte]
-
-  /** Read one byte range as one request. */
-  def getRange(req: RangeReq, ledger: FetchLedger): Array[Byte]
-
-  /** Read many ranges as ONE concurrent batch (one sequential step in the
-    * ledger). This is the IoU Sketch lookup primitive: no request depends
-    * on another, so they are issued together and the batch costs roughly
-    * the slowest stream.
-    */
-  def getRangesParallel(reqs: Seq[RangeReq], ledger: FetchLedger): Seq[Array[Byte]]
-
-  /** Like [[getRangesParallel]] but the caller only needs any `k` of the
-    * `reqs.size` responses (built-in replication, §IV-G). Returns the `k`
-    * winners in the deterministic completion order of the network model,
-    * paired with the index of the request that produced each.
+  /** The one read: issue `reqs` as ONE concurrent batch (one sequential
+    * step in the ledger) and wait for the `k` of them that finish first.
+    * This is the IoU Sketch lookup primitive: no request depends on
+    * another, so they are issued together and the batch costs roughly the
+    * slowest stream. A plain batch needs all of them (`k = reqs.size`);
+    * built-in replication (§IV-G) issues L+ and needs any L. Returns the
+    * `k` winners in the deterministic completion order of the network
+    * model, paired with the index of the request that produced each.
     */
   def getRangesKofN(reqs: Seq[RangeReq], k: Int, ledger: FetchLedger): Seq[(Int, Array[Byte])]
 
+  /** Read many ranges as one batch that needs every one of them, in
+    * request order. An empty batch is free: no ledger step.
+    */
+  def getRangesParallel(reqs: Seq[RangeReq], ledger: FetchLedger): Seq[Array[Byte]] = {
+    if (reqs.isEmpty) return Nil
+    val out = new Array[Array[Byte]](reqs.size)
+    getRangesKofN(reqs, reqs.size, ledger).foreach { case (i, bytes) => out(i) = bytes }
+    ArraySeq.unsafeWrapArray(out)
+  }
+
+  /** Read one byte range as one request: a batch of one. */
+  def getRange(req: RangeReq, ledger: FetchLedger): Array[Byte] =
+    getRangesKofN(Seq(req), 1, ledger).head._2
+
+  /** Read a whole blob as one request. */
+  def get(name: String, ledger: FetchLedger): Array[Byte] =
+    getRange(RangeReq(name, 0L, Math.toIntExact(size(name))), ledger)
+
   /** Raw bytes with zero accounted cost — for builders/tests only. */
-  def getNoCost(name: String): Array[Byte]
+  def getNoCost(name: String): Array[Byte] = get(name, new FetchLedger)
 }
 
 object CloudStorage {

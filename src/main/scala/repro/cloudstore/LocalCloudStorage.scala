@@ -6,8 +6,10 @@ import scala.jdk.CollectionConverters._
 /** In-process blob store with simulated network cost.
   *
   * Bytes live in a concurrent map (our corpora are ~10–100 MB, well within
-  * heap). A read is a memory copy, so a batch is read on the caller's
-  * thread, range by range in request order. The paper's 32 download
+  * heap). It implements the one read of [[CloudStorage]], a k-of-n batch,
+  * and the trait derives every other read from it. A read is a memory
+  * copy, so a batch is read on the caller's thread, its winners in the
+  * network model's completion order. The paper's 32 download
   * threads (§V-A0c) are modelled where they set the latency: by
   * [[NetworkModel.concurrency]] in virtual time. Thread-safe: Spark
   * local-mode tasks read concurrently through the [[CloudStorage.named]]
@@ -44,34 +46,11 @@ final class LocalCloudStorage(initialModel: NetworkModel) extends CloudStorage {
     java.util.Arrays.copyOfRange(b, req.offset.toInt, req.offset.toInt + req.length)
   }
 
-  override def get(name: String, ledger: FetchLedger): Array[Byte] = {
-    val b = lookup(name)
-    ledger.record(model.single(name, b.length.toLong))
-    b.clone()
-  }
-
-  override def getRange(req: RangeReq, ledger: FetchLedger): Array[Byte] = {
-    val out = slice(req)
-    ledger.record(model.single(req.key, req.length.toLong))
-    out
-  }
-
-  override def getRangesParallel(reqs: Seq[RangeReq], ledger: FetchLedger): Seq[Array[Byte]] = {
-    if (reqs.isEmpty) return Nil
-    val rs = reqs.toIndexedSeq
-    val out = rs.map(slice)
-    ledger.record(model.batch(rs, rs.size)._1)
-    out
-  }
-
   override def getRangesKofN(reqs: Seq[RangeReq], k: Int, ledger: FetchLedger): Seq[(Int, Array[Byte])] = {
-    require(k >= 1 && k <= reqs.size)
     val rs = reqs.toIndexedSeq
     val (cost, winners) = model.batch(rs, k)
     val out = winners.map(i => (i, slice(rs(i))))
     ledger.record(cost)
     out
   }
-
-  override def getNoCost(name: String): Array[Byte] = lookup(name).clone()
 }

@@ -82,14 +82,12 @@ final case class NetworkModel(
   private def streamBpms: Double = streamBandwidthBpms * region.bandwidthFactor
   private def aggregateBpms: Double = streamBpms * aggregateStreams
 
-  /** Cost of a single sequential request of `bytes` bytes: one round trip. */
-  def single(requestKey: String, bytes: Long): FetchStats =
-    FetchStats(1, waitMs(requestKey), bytes.toDouble / streamBpms, bytes)
-
   /** Cost of one *batch* of concurrent `requests` issued together, of which
     * the caller waits for the `need` with the smallest first-byte latency.
-    * A plain batch needs all of them; IoU Sketch's built-in replication
-    * (§IV-G) issues L+ requests and needs any L.
+    * This prices every read: a plain batch needs all of them, IoU Sketch's
+    * built-in replication (§IV-G) issues L+ requests and needs any L, and a
+    * single request is a batch of one. At tail 0 a batch of one pays the
+    * base latency plus its bytes over one stream.
     *
     * The winners drain through the `concurrency`-thread pool in
     * ceil(need/concurrency) waves. Total elapsed time is the per-wave

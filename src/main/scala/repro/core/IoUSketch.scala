@@ -61,10 +61,6 @@ final class IoUSketch(val layers: Int, val binsPerLayer: Int, val seeds: Array[I
     val s = bins(layer)(bin)
     if (s == null) Set.empty else s.keys.iterator.toSet
   }
-
-  /** Total stored (layer, doc) entries — proxy for index storage size. */
-  def storedEntries: Long =
-    bins.iterator.flatMap(_.iterator).filter(_ != null).map(_.size.toLong).sum
 }
 
 object IoUSketch {

@@ -34,8 +34,14 @@ final class Mht(
     val blockBlobs: Array[String],
     val docBlobs: Array[String],
 ) {
+  require(layers >= 1, s"MHT layers = $layers, must be at least 1")
+  require(binsPerLayer >= 1, s"MHT binsPerLayer = $binsPerLayer, must be at least 1")
   require(seeds.length == layers && binPointers.length == layers)
   require(binPointers.forall(_.length == binsPerLayer))
+  require(binPointers.forall(_.forall(p => p == null || p.block < blockBlobs.length)),
+    s"MHT bin pointer names a block past the header's ${blockBlobs.length} block blobs")
+  require(commonWords.valuesIterator.forall(_.block < blockBlobs.length),
+    s"MHT common-word pointer names a block past the header's ${blockBlobs.length} block blobs")
 
   def binOf(word: String, layer: Int): Int = Hashing.bin(word, seeds(layer), binsPerLayer)
 
@@ -93,6 +99,7 @@ object Mht {
       if (r.readVarInt() == 0) null else r.readPointer()
     })
     val common = r.readEntries().toMap
+    require(r.remaining == 0, s"MHT header has trailing bytes after its common-word table: ${r.remaining}")
     new Mht(layers, binsPerLayer, seeds, binPointers, common, blockBlobs, docBlobs)
   }
 

@@ -80,7 +80,6 @@ final class Searcher(store: CloudStorage, headerBlob: String, waitLayers: Option
     val toFetch = plans.filter(_._2.nonEmpty)
     val reqs = toFetch.flatMap(_._2).map(mht.rangeReq)
     val fetched: Seq[Seq[Array[Byte]]] = toFetch match {
-      case Seq() => Nil
       case Seq((_, ptrs)) if k < ptrs.size => Seq(store.getRangesKofN(reqs, k, ledger).map(_._2))
       case _ =>
         val it = store.getRangesParallel(reqs, ledger).iterator

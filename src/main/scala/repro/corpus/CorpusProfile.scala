@@ -45,9 +45,6 @@ final case class CorpusProfile(
     */
   def sigmaX: Double =
     math.sqrt((nDocs.toDouble * nTerms - sumDistinct.toDouble) / (nTerms.toDouble * nTerms))
-
-  /** Mean words per document. */
-  def meanWordsPerDoc: Double = nWords.toDouble / nDocs
 }
 
 object CorpusProfile {

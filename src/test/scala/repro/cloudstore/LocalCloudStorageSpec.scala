@@ -69,6 +69,19 @@ class LocalCloudStorageSpec extends AnyFunSuite with GenChecks {
     assert(st.bytes == 1200)
   }
 
+  test("get and getRange each record one step priced as a batch of their one range") {
+    val straggly = NetworkModel(tailProbability = 0.3)
+    val s = new LocalCloudStorage(straggly)
+    s.put("blob", new Array[Byte](1000))
+    val range = RangeReq("blob", 100, 200)
+    val l1 = new FetchLedger
+    s.getRange(range, l1)
+    assert(l1.stats == straggly.batch(Vector(range), 1)._1)
+    val l2 = new FetchLedger
+    s.get("blob", l2)
+    assert(l2.stats == straggly.batch(Vector(RangeReq("blob", 0, 1000)), 1)._1)
+  }
+
   test("a parallel batch is ONE ledger step and pays one base latency") {
     val s = fresh()
     s.put("blob", new Array[Byte](1000))
@@ -83,11 +96,15 @@ class LocalCloudStorageSpec extends AnyFunSuite with GenChecks {
   }
 
   test("parallel batch preserves request order in results") {
-    val s = fresh()
+    // With stragglers the winners arrive in completion order, not request order.
+    val s = new LocalCloudStorage(NetworkModel(tailProbability = 0.3))
     s.put("blob", (0 until 200).map(_.toByte).toArray)
-    val reqs = Seq(RangeReq("blob", 100, 1), RangeReq("blob", 3, 1), RangeReq("blob", 77, 1))
+    val offsets = Seq(100, 3, 77, 150, 12, 199, 64, 5, 31, 120)
+    val reqs = offsets.map(o => RangeReq("blob", o.toLong, 1))
+    val arrival = s.getRangesKofN(reqs, reqs.size, new FetchLedger).map(_._1)
+    assert(arrival.sorted == reqs.indices && arrival != reqs.indices, arrival)
     val out = s.getRangesParallel(reqs, new FetchLedger)
-    assert(out.map(_.head) == Seq(100.toByte, 3.toByte, 77.toByte))
+    assert(out.map(_.head) == offsets.map(_.toByte))
   }
 
   test("empty parallel batch is free") {

@@ -10,24 +10,28 @@ class NetworkModelSpec extends AnyFunSuite with GenChecks {
 
   private val m = NetworkModel()
 
+  /** Cost of one request of `bytes` bytes: a batch of one range. */
+  private def one(model: NetworkModel, bytes: Int): FetchStats =
+    model.batch(Vector(RangeReq("blob", 0L, bytes)), 1)._1
+
   test("single request pays base latency plus bandwidth time") {
-    val c = m.single("blob", 0L)
+    val c = one(m, 0)
     assert(c.waitMs == 50.0)
     assert(c.downloadMs == 0.0)
   }
 
   test("affine shape: latency flat for small payloads, linear beyond (Fig 2)") {
-    val small = m.single("a", 10_000L)   // 10 KB
-    val twoMb = m.single("b", 2_000_000L)
-    val tenMb = m.single("c", 10_000_000L)
+    val small = one(m, 10_000)   // 10 KB
+    val twoMb = one(m, 2_000_000)
+    val tenMb = one(m, 10_000_000)
     assert(small.totalMs < 51.0)
     assert(twoMb.totalMs === 100.0 +- 1.0) // 50 wait + 50 download at 40 MB/s
     assert(tenMb.downloadMs === 5.0 * twoMb.downloadMs +- 1e-6)
   }
 
   test("download time scales linearly with bytes") {
-    forAllG(Gen.choose(1L, 100_000_000L)) { bytes =>
-      val c = m.single("x", bytes)
+    forAllG(Gen.choose(1, 100_000_000)) { bytes =>
+      val c = one(m, bytes)
       assert(c.downloadMs === bytes / (40e6 / 1000.0) +- 1e-6)
     }
   }
@@ -39,15 +43,15 @@ class NetworkModelSpec extends AnyFunSuite with GenChecks {
   }
 
   test("regions multiply base latency: London 3x, Singapore 7.5x") {
-    val london = m.copy(region = Region.London).single("a", 0L)
-    val sing = m.copy(region = Region.Singapore).single("a", 0L)
+    val london = one(m.copy(region = Region.London), 0)
+    val sing = one(m.copy(region = Region.Singapore), 0)
     assert(london.waitMs === 150.0 +- 1e-9)
     assert(sing.waitMs === 375.0 +- 1e-9)
   }
 
   test("regions shave bandwidth") {
-    val iowa = m.single("a", 1_000_000L)
-    val sing = m.copy(region = Region.Singapore).single("a", 1_000_000L)
+    val iowa = one(m, 1_000_000)
+    val sing = one(m.copy(region = Region.Singapore), 1_000_000)
     assert(sing.downloadMs > iowa.downloadMs)
   }
 
@@ -58,19 +62,11 @@ class NetworkModelSpec extends AnyFunSuite with GenChecks {
   /** Cost of a plain batch: the caller needs every range. */
   private def all(model: NetworkModel, reqs: IndexedSeq[RangeReq]): FetchStats = model.batch(reqs, reqs.size)._1
 
-  test("batch of one equals single request") {
-    val r = RangeReq("k", 0L, 1000)
-    val b = all(m, Vector(r))
-    val s = m.single(r.key, 1000L)
-    assert(b.waitMs === s.waitMs +- 1e-9)
-    assert(b.downloadMs === s.downloadMs +- 1e-9)
-  }
-
   test("a parallel batch within one wave pays the base latency once") {
     val reqs = ranges(16, 1000)
     val batch = all(m, reqs)
     assert(batch.waitMs === 50.0 +- 1e-9)
-    val sequential = reqs.map(r => m.single(r.key, r.length.toLong)).reduce(_ + _)
+    val sequential = reqs.map(r => all(m, Vector(r))).reduce(_ + _)
     assert(sequential.waitMs === 800.0 +- 1e-9)
     assert(batch.totalMs < sequential.totalMs / 10)
   }

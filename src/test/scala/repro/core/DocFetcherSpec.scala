@@ -97,17 +97,9 @@ class DocFetcherSpec extends AnyFunSuite {
       def put(name: String, bytes: Array[Byte]): Unit = inner.put(name, bytes)
       def size(name: String): Long = inner.size(name)
       def list(): Seq[String] = inner.list()
-      def get(name: String, ledger: FetchLedger): Array[Byte] = inner.get(name, ledger)
-      def getRange(req: RangeReq, ledger: FetchLedger): Array[Byte] = {
-        batches += Seq(req); inner.getRange(req, ledger)
-      }
-      def getRangesParallel(reqs: Seq[RangeReq], ledger: FetchLedger): Seq[Array[Byte]] = {
-        batches += reqs; inner.getRangesParallel(reqs, ledger)
-      }
       def getRangesKofN(reqs: Seq[RangeReq], k: Int, ledger: FetchLedger): Seq[(Int, Array[Byte])] = {
         batches += reqs; inner.getRangesKofN(reqs, k, ledger)
       }
-      def getNoCost(name: String): Array[Byte] = inner.getNoCost(name)
     }
     // Nothing matches, so the sample always falls short of K.
     val k = 5

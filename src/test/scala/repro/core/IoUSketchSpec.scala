@@ -84,12 +84,6 @@ class IoUSketchSpec extends AnyFunSuite with GenChecks {
     assert(sketch.query("a").toSeq == before)
   }
 
-  test("storedEntries counts layer replicas") {
-    val sketch = new IoUSketch(3, 64, IoUConfig().seeds(3))
-    sketch.insert("a", Seq(1L, 2L, 3L))
-    assert(sketch.storedEntries == 9) // 3 docs x 3 layers
-  }
-
   test("more layers reduce false positives (the core claim, statistically)") {
     // Dense corpus so L = 1 collides heavily.
     val rng = new scala.util.Random(7)

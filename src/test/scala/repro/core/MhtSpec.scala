@@ -139,6 +139,59 @@ class MhtSpec extends AnyFunSuite with GenChecks {
     intercept[IllegalArgumentException](Mht.deserialize(out.toByteArray))
   }
 
+  /** A one-layer, one-bin header over one block blob, with one common word,
+    * and the positions of the bytes the fault tests edit.
+    */
+  private def smallHeader(bin: BinPointer): Array[Byte] =
+    new Mht(1, 1, Array(0), Array(Array(bin)), Map("the" -> BinPointer(0, 9, 2)),
+            Array("blk-0"), Array("docs-0")).serialize()
+  private val LayersAt = 5      // after the magic
+  private val BinsAt = 6
+  private val SeedAt = 7
+  private val BinAt = 7 + 1 + 1 + 1 + 5 + 1 + 1 + 6 // seed, block count, "blk-0", doc count, "docs-0"
+
+  private def rejected(bytes: Array[Byte]): String =
+    intercept[IllegalArgumentException](Mht.deserialize(bytes)).getMessage
+
+  test("a header whose bin pointer names a block past the block table is rejected") {
+    val bytes = smallHeader(BinPointer(0, 0, 4))
+    assert(bytes.slice(BinAt, BinAt + 2).toSeq == Seq[Byte](1, 0)) // a full bin, block 0
+    val msg = rejected(bytes.updated(BinAt + 1, 1.toByte))
+    assert(msg.contains("bin pointer names a block past"), msg)
+  }
+
+  test("a header whose common word names a block past the block table is rejected") {
+    val bytes = smallHeader(null)
+    // The table's last entry: the word, then its block, offset and length.
+    val blockAt = bytes.length - 3
+    assert(bytes.slice(blockAt - 4, bytes.length).toSeq ==
+           (Seq[Byte](3) ++ "the".getBytes("UTF-8") ++ Seq[Byte](0, 9, 2)))
+    val msg = rejected(bytes.updated(blockAt, 1.toByte))
+    assert(msg.contains("common-word pointer names a block past"), msg)
+  }
+
+  test("a header with no layers is rejected by its layer count") {
+    val bytes = smallHeader(null)
+    assert(bytes(LayersAt) == 1 && bytes(BinAt) == 0)
+    // Zero layers hold no seed and no bin.
+    val noLayers = bytes.take(LayersAt) ++ Array[Byte](0, bytes(BinsAt)) ++
+                   bytes.slice(SeedAt + 1, BinAt) ++ bytes.drop(BinAt + 1)
+    assert(rejected(noLayers).contains("layers = 0"))
+  }
+
+  test("a header with no bins per layer is rejected by its bin count") {
+    val bytes = smallHeader(null)
+    assert(bytes(BinsAt) == 1 && bytes(BinAt) == 0)
+    // A layer of zero bins holds no bin.
+    val noBins = bytes.take(BinAt).updated(BinsAt, 0.toByte) ++ bytes.drop(BinAt + 1)
+    assert(rejected(noBins).contains("binsPerLayer = 0"))
+  }
+
+  test("a header with bytes after its common-word table is rejected") {
+    val msg = rejected(smallHeader(BinPointer(0, 0, 4)) :+ 0.toByte)
+    assert(msg.contains("trailing bytes after its common-word table: 1"), msg)
+  }
+
   test("a header cut inside its first block name is rejected with IllegalArgumentException") {
     val bytes = new Mht(1, 1, Array(0), Array(Array[BinPointer](null)), Map.empty,
                         Array("blk-0"), Array("docs-0")).serialize()

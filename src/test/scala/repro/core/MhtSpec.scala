@@ -139,8 +139,8 @@ class MhtSpec extends AnyFunSuite with GenChecks {
     intercept[IllegalArgumentException](Mht.deserialize(out.toByteArray))
   }
 
-  /** A one-layer, one-bin header over one block blob, with one common word,
-    * and the positions of the bytes the fault tests edit.
+  /** A one-layer, one-bin header over one block blob, with one common word.
+    * The offsets below locate the bytes the fault tests edit.
     */
   private def smallHeader(bin: BinPointer): Array[Byte] =
     new Mht(1, 1, Array(0), Array(Array(bin)), Map("the" -> BinPointer(0, 9, 2)),
